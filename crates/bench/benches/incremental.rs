@@ -41,7 +41,8 @@ fn bench_incremental(c: &mut Criterion) {
 
     c.bench_function("incremental/full revalidation", |b| {
         b.iter(|| {
-            // Rebuild (the freeze the monitor also pays) + validate all.
+            // Rebuild the index (the monitor patches attribute edits in
+            // place and rebuilds nothing) + validate all.
             let rebuilt = GraphState::from_graph(&g).freeze();
             let mut total = 0usize;
             for r in &rules {

@@ -622,11 +622,18 @@ fn parse_value(token: &str, g: &Graph) -> Value {
     Value::Str(g.interner().symbol(s))
 }
 
-fn node_arg(token: &str, line: usize) -> Result<NodeId, CliError> {
-    token
-        .parse::<usize>()
-        .map(NodeId::from_index)
-        .map_err(|_| CliError::Io(format!("updates line {line}: bad node id `{token}`")))
+/// Parses an update script's node id, which must name one of the `nodes`
+/// nodes that exist when the op applies.
+fn node_arg(token: &str, line: usize, nodes: usize) -> Result<NodeId, CliError> {
+    let n: usize = token
+        .parse()
+        .map_err(|_| CliError::Io(format!("updates line {line}: bad node id `{token}`")))?;
+    if n >= nodes {
+        return Err(CliError::Io(format!(
+            "updates line {line}: node {n} out of range (the graph has {nodes} nodes)"
+        )));
+    }
+    Ok(NodeId::from_index(n))
 }
 
 fn cmd_xdiscover(mut a: Args) -> Result<String, CliError> {
@@ -734,24 +741,28 @@ fn cmd_monitor(mut a: Args) -> Result<String, CliError> {
         let toks: Vec<&str> = line.split_whitespace().collect();
         let lineno = no + 1;
         let bad = |msg: &str| CliError::Io(format!("updates line {lineno}: {msg}"));
+        // Nodes that exist when this op applies: the graph's plus the ones
+        // queued earlier in the open batch.
+        let nodes = monitor.graph().node_count() + batch.added_nodes();
+        let node = |tok: &str| node_arg(tok, lineno, nodes);
         match toks[0] {
             "batch" => flush(&mut monitor, &mut batch, &mut batch_no, &mut out),
             "set" if toks.len() == 4 => {
-                let node = node_arg(toks[1], lineno)?;
+                let node = node(toks[1])?;
                 let attr = g.interner().attr(toks[2]);
                 batch.set_attr(node, attr, parse_value(toks[3], &g));
             }
             "del" if toks.len() == 3 => {
-                let node = node_arg(toks[1], lineno)?;
+                let node = node(toks[1])?;
                 let attr = g.interner().attr(toks[2]);
                 batch.remove_attr(node, attr);
             }
             "edge" if toks.len() == 4 => {
-                let (s, d) = (node_arg(toks[1], lineno)?, node_arg(toks[2], lineno)?);
+                let (s, d) = (node(toks[1])?, node(toks[2])?);
                 batch.add_edge(s, d, g.interner().label(toks[3]));
             }
             "unedge" if toks.len() == 4 => {
-                let (s, d) = (node_arg(toks[1], lineno)?, node_arg(toks[2], lineno)?);
+                let (s, d) = (node(toks[1])?, node(toks[2])?);
                 batch.remove_edge(s, d, g.interner().label(toks[3]));
             }
             "node" if toks.len() == 2 => {
@@ -1182,6 +1193,29 @@ e 0 1 create
             updates.to_str().unwrap(),
         ]));
         assert!(matches!(res, Err(CliError::Io(m)) if m.contains("line 1")));
+
+        // So are node ids the graph does not have when the op applies;
+        // a node queued earlier in the batch counts.
+        for (script, line) in [
+            ("set 7 type x\nbatch\n", "line 1"),
+            ("set 0 type x\nedge 0 9 create\n", "line 2"),
+            (
+                "node person\nedge 2 1 create\nbatch\nunedge 3 1 create\n",
+                "line 4",
+            ),
+        ] {
+            std::fs::write(&updates, script).unwrap();
+            let res = run(&s(&[
+                "monitor",
+                graph.to_str().unwrap(),
+                rules.to_str().unwrap(),
+                updates.to_str().unwrap(),
+            ]));
+            assert!(
+                matches!(&res, Err(CliError::Io(m)) if m.contains(line) && m.contains("out of range")),
+                "{script:?}: {res:?}"
+            );
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -8,8 +8,9 @@
 //! `gfd-pattern`), which coincides with the paper's semantics on simple
 //! graphs.
 //!
-//! Graphs are built with [`GraphBuilder`] and then frozen into an immutable
-//! [`Graph`]. The frozen layout is **structure-of-arrays CSR** throughout:
+//! Graphs are built with [`GraphBuilder`] and then frozen into a [`Graph`]
+//! whose topology is immutable; attribute values can still be edited in
+//! place. The frozen layout is **structure-of-arrays CSR** throughout:
 //! every index is one offsets array plus packed flat payload arrays (edge
 //! ids, neighbour ids, attribute tuples, per-label node lists) — no
 //! per-node `Vec`s anywhere, so a million-node graph is a handful of large
@@ -410,7 +411,8 @@ impl GraphBuilder {
         self.edges.len()
     }
 
-    /// Freezes the builder into an immutable, indexed [`Graph`].
+    /// Freezes the builder into an indexed [`Graph`] (topology fixed,
+    /// attributes editable in place).
     pub fn build(self) -> Graph {
         let GraphBuilder {
             interner,
@@ -495,11 +497,16 @@ impl GraphBuilder {
     }
 }
 
-/// An immutable property graph in structure-of-arrays CSR layout: flat
-/// offsets + packed payload arrays for adjacency (plain and
-/// label-partitioned, both directions), attribute tuples, and the
-/// per-label node index.
-#[derive(Debug)]
+/// A property graph in structure-of-arrays CSR layout: flat offsets +
+/// packed payload arrays for adjacency (plain and label-partitioned, both
+/// directions), attribute tuples, and the per-label node index.
+///
+/// Topology (nodes, labels, edges and every index over them) is frozen at
+/// build time. Attribute values can be edited in place with
+/// [`Graph::set_attr_by_id`] and [`Graph::remove_attr_by_id`], which keep
+/// each node's tuple sorted by attribute id and never touch the topology
+/// arrays.
+#[derive(Clone, Debug)]
 pub struct Graph {
     interner: Arc<Interner>,
     labels: Vec<LabelId>,
@@ -567,9 +574,16 @@ impl Graph {
     /// the packed tuple array.
     #[inline]
     pub fn attrs(&self, n: NodeId) -> &[(AttrId, Value)] {
-        let lo = self.attr_offsets[n.index()] as usize;
-        let hi = self.attr_offsets[n.index() + 1] as usize;
+        let (lo, hi) = self.attr_bounds(n);
         &self.attr_entries[lo..hi]
+    }
+
+    #[inline]
+    fn attr_bounds(&self, n: NodeId) -> (usize, usize) {
+        (
+            self.attr_offsets[n.index()] as usize,
+            self.attr_offsets[n.index() + 1] as usize,
+        )
     }
 
     /// Value of attribute `a` at node `n`, if present.
@@ -580,6 +594,40 @@ impl Graph {
             .binary_search_by_key(&a, |(x, _)| *x)
             .ok()
             .map(|i| tuple[i].1)
+    }
+
+    /// Sets attribute `a = v` on node `n` in place (insert or overwrite).
+    /// An overwrite is a binary search in `n`'s tuple; an insert shifts
+    /// the packed tuple array once and bumps the offsets after `n`.
+    ///
+    /// # Panics
+    /// Panics if `n` is out of range.
+    pub fn set_attr_by_id(&mut self, n: NodeId, a: AttrId, v: Value) {
+        let (lo, hi) = self.attr_bounds(n);
+        match self.attr_entries[lo..hi].binary_search_by_key(&a, |(x, _)| *x) {
+            Ok(i) => self.attr_entries[lo + i].1 = v,
+            Err(i) => {
+                self.attr_entries.insert(lo + i, (a, v));
+                for off in &mut self.attr_offsets[n.index() + 1..] {
+                    *off += 1;
+                }
+            }
+        }
+    }
+
+    /// Removes attribute `a` from node `n` in place (a no-op when absent),
+    /// shifting the packed tuple array once and the offsets after `n`.
+    ///
+    /// # Panics
+    /// Panics if `n` is out of range.
+    pub fn remove_attr_by_id(&mut self, n: NodeId, a: AttrId) {
+        let (lo, hi) = self.attr_bounds(n);
+        if let Ok(i) = self.attr_entries[lo..hi].binary_search_by_key(&a, |(x, _)| *x) {
+            self.attr_entries.remove(lo + i);
+            for off in &mut self.attr_offsets[n.index() + 1..] {
+                *off -= 1;
+            }
+        }
     }
 
     /// Outgoing edge ids of `n`, sorted by `(dst, label)`.

@@ -13,9 +13,15 @@
 //!    multi-byte UTF-8 attribute values (at char granularity — the byte
 //!    tail is the loader's job) and inside `%`-escapes.
 //! 3. **Round-trip** — `from_text(to_text(g))` re-serialises identically.
+//! 4. **In-place attribute edits** — any sequence of set/remove edits on a
+//!    frozen graph leaves the attributes a fresh build of the final
+//!    attributes has, keeps every tuple sorted, and moves no topology.
+
+use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use gfd_graph::io::{from_text, to_text, ChunkedParser};
-use gfd_graph::{Graph, GraphBuilder, NodeId};
+use gfd_graph::{Graph, GraphBuilder, NodeId, Value};
 use proptest::prelude::*;
 
 const NODE_LABELS: usize = 4;
@@ -55,6 +61,21 @@ fn value_name(v: usize) -> String {
     } else {
         format!("β{v}")
     }
+}
+
+/// One in-place attribute edit; node indexes are taken modulo the node
+/// count, and attribute `a{ATTRS}` is one the builder never wrote.
+#[derive(Clone, Debug)]
+enum Edit {
+    Set(usize, usize, usize),
+    Remove(usize, usize),
+}
+
+fn edit_strategy() -> impl Strategy<Value = Edit> {
+    prop_oneof![
+        (0usize..8, 0usize..=ATTRS, 0usize..5).prop_map(|(n, a, v)| Edit::Set(n, a, v)),
+        (0usize..8, 0usize..=ATTRS).prop_map(|(n, a)| Edit::Remove(n, a)),
+    ]
 }
 
 fn build(p: &Proto) -> Graph {
@@ -272,5 +293,71 @@ proptest! {
         let text = to_text(&back);
         let again = from_text(&text).expect("re-parse");
         prop_assert_eq!(to_text(&again), text);
+    }
+
+    /// Law 4: in-place attribute edits agree with the builder and leave
+    /// every adjacency and label accessor as it was.
+    #[test]
+    fn in_place_attr_edits_match_the_builder(
+        p in proto_strategy(),
+        edits in prop::collection::vec(edit_strategy(), 0..=24),
+    ) {
+        let before = build(&p);
+        let mut g = before.clone();
+        let interner = Arc::clone(g.interner());
+        let attr = |a: usize| interner.attr(&format!("a{a}"));
+        // The final attributes: the builder's last-wins log, then the edits.
+        let mut model: BTreeMap<(usize, usize), usize> = BTreeMap::new();
+        for &(n, a, v) in &p.attrs {
+            model.insert((n, a), v);
+        }
+        let n = p.nodes.len();
+        for e in &edits {
+            match *e {
+                Edit::Set(x, a, v) => {
+                    let value = Value::Str(interner.symbol(&value_name(v)));
+                    g.set_attr_by_id(NodeId::from_index(x % n), attr(a), value);
+                    model.insert((x % n, a), v);
+                }
+                Edit::Remove(x, a) => {
+                    g.remove_attr_by_id(NodeId::from_index(x % n), attr(a));
+                    model.remove(&(x % n, a));
+                }
+            }
+        }
+
+        let mut b = GraphBuilder::with_interner(Arc::clone(&interner));
+        for &l in &p.nodes {
+            b.add_node(&format!("L{l}"));
+        }
+        for (&(x, a), &v) in &model {
+            b.set_attr(NodeId::from_index(x), &format!("a{a}"), value_name(v).as_str());
+        }
+        let want = b.build();
+
+        prop_assert_eq!(g.edges(), before.edges());
+        for v in g.nodes() {
+            prop_assert_eq!(g.attrs(v), want.attrs(v));
+            prop_assert!(g.attrs(v).windows(2).all(|w| w[0].0 < w[1].0));
+            for a in 0..=ATTRS {
+                prop_assert_eq!(g.attr(v, attr(a)), want.attr(v, attr(a)));
+            }
+
+            prop_assert_eq!(g.node_label(v), before.node_label(v));
+            prop_assert_eq!(g.out_edges(v), before.out_edges(v));
+            prop_assert_eq!(g.in_edges(v), before.in_edges(v));
+            prop_assert_eq!(g.out_nbrs(v), before.out_nbrs(v));
+            prop_assert_eq!(g.in_nbrs(v), before.in_nbrs(v));
+            prop_assert!(g.out_label_runs(v).eq(before.out_label_runs(v)));
+            prop_assert!(g.in_label_runs(v).eq(before.in_label_runs(v)));
+            for u in g.nodes() {
+                prop_assert_eq!(g.edges_between_labeled(v, u), before.edges_between_labeled(v, u));
+            }
+        }
+        for l in 0..NODE_LABELS {
+            if let Some(lid) = interner.lookup_label(&format!("L{l}")) {
+                prop_assert_eq!(g.nodes_with_label(lid), before.nodes_with_label(lid));
+            }
+        }
     }
 }

@@ -10,11 +10,14 @@
 //! whose pivots are within `d_Q` hops of the touched nodes.
 //!
 //! * [`update`] — [`Update`] operations and [`UpdateBatch`]es,
-//! * [`state`] — the mutable graph shadow ([`GraphState`]) that re-freezes
-//!   into an indexed [`gfd_graph::Graph`] per batch,
-//! * [`monitor`] — the [`ViolationMonitor`]: stored violations, bounded
-//!   BFS to the affected pivots, pivot-anchored re-matching, per-batch
-//!   [`ViolationDelta`]s. Monitors base and extended GFDs together.
+//! * [`state`] — a mutable graph copy ([`GraphState`]) that applies a
+//!   batch and re-freezes into an indexed [`gfd_graph::Graph`], the path
+//!   for batches that change topology,
+//! * [`monitor`] — the [`ViolationMonitor`]: one owned graph patched in
+//!   place by attribute-only batches, stored violations keyed by pivot,
+//!   bounded BFS to the affected pivots, pivot-anchored re-matching,
+//!   per-batch [`ViolationDelta`]s. Monitors base and extended GFDs
+//!   together.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

@@ -14,6 +14,14 @@
 //!    `BFS(G_old, T, d_Q) ∪ BFS(G_new, T, d_Q)` — everything else keeps
 //!    its stored violation status.
 //!
+//! Most curation batches only set or remove attributes. Such a batch is
+//! patched into the monitor's [`Graph`] in place, and because the topology
+//! did not move, `G_old` and `G_new` have the same distances: one bounded
+//! BFS from `T` finds every affected pivot, and a write costs its touched
+//! neighbourhood rather than `|G|`. A batch that adds nodes or adds or
+//! removes edges rebuilds the graph through [`GraphState`] and runs the
+//! BFS on both sides.
+//!
 //! The monitor accepts base GFDs and extended GFDs (`gfd-extended`) in
 //! one rule set, and reports per-batch deltas (violations introduced and
 //! repaired), which is what a knowledge-base curation pipeline consumes.
@@ -26,10 +34,10 @@ use gfd_core::BoundValidator;
 use gfd_extended::XGfd;
 use gfd_graph::{Graph, NodeId};
 use gfd_logic::Gfd;
-use gfd_pattern::{CompiledPattern, PLabel, Pattern};
+use gfd_pattern::{CompiledPattern, MatcherScratch, PLabel, Pattern};
 
 use crate::state::GraphState;
-use crate::update::UpdateBatch;
+use crate::update::{Update, UpdateBatch};
 
 /// A monitored rule: base or extended GFD.
 #[derive(Clone, Debug)]
@@ -106,38 +114,56 @@ impl ViolationDelta {
     }
 }
 
-/// Multi-source undirected BFS, bounded at `depth`; returns per-node
-/// distance (`u32::MAX` = unreached). Sources outside the graph's node
-/// range are ignored (they exist only on the other side of the update).
-fn bounded_bfs(g: &Graph, sources: &[NodeId], depth: usize) -> Vec<u32> {
-    let n = g.node_count();
-    let mut dist = vec![u32::MAX; n];
-    let mut queue = std::collections::VecDeque::new();
+/// Multi-source undirected BFS, bounded at `depth`: every node within
+/// `depth` hops of a source, with its distance, in visit order. Sources
+/// outside the graph's node range are ignored (they exist only on the
+/// other side of the update). Costs the reached neighbourhood, not `|V|`.
+fn bounded_bfs(g: &Graph, sources: &[NodeId], depth: usize) -> Vec<(NodeId, u32)> {
+    let mut seen: BTreeSet<NodeId> = BTreeSet::new();
+    let mut reached: Vec<(NodeId, u32)> = Vec::new();
     for &s in sources {
-        if s.index() < n && dist[s.index()] == u32::MAX {
-            dist[s.index()] = 0;
-            queue.push_back(s);
+        if s.index() < g.node_count() && seen.insert(s) {
+            reached.push((s, 0));
         }
     }
-    while let Some(v) = queue.pop_front() {
-        let d = dist[v.index()];
+    let mut head = 0;
+    while let Some(&(v, d)) = reached.get(head) {
+        head += 1;
         if d as usize >= depth {
             continue;
         }
-        let mut visit = |u: NodeId| {
-            if dist[u.index()] == u32::MAX {
-                dist[u.index()] = d + 1;
-                queue.push_back(u);
+        for &u in g.out_nbrs(v).iter().chain(g.in_nbrs(v)) {
+            if seen.insert(u) {
+                reached.push((u, d + 1));
             }
-        };
-        for &e in g.out_edges(v) {
-            visit(g.edge(e).dst);
-        }
-        for &e in g.in_edges(v) {
-            visit(g.edge(e).src);
         }
     }
-    dist
+    reached
+}
+
+/// Panics unless every node an update names exists when it applies: the
+/// graph's `nodes` plus the nodes the batch adds before it. Runs before
+/// any op is applied, so a bad batch leaves the monitor untouched.
+fn check_node_ids(batch: &UpdateBatch, mut nodes: usize) {
+    for (i, u) in batch.ops().iter().enumerate() {
+        let named: &[NodeId] = match u {
+            Update::AddNode { .. } => {
+                nodes += 1;
+                &[]
+            }
+            Update::AddEdge { src, dst, .. } | Update::RemoveEdge { src, dst, .. } => &[*src, *dst],
+            Update::SetAttr { node, .. } | Update::RemoveAttr { node, .. } => {
+                std::slice::from_ref(node)
+            }
+        };
+        for n in named {
+            assert!(
+                n.index() < nodes,
+                "update {i} names node {} but the graph has {nodes} nodes",
+                n.index()
+            );
+        }
+    }
 }
 
 /// Demand-path counters: how monitor queries were routed and what they
@@ -188,10 +214,10 @@ pub struct ViolationMonitor {
     /// not a plan compilation.
     plan_cache: BTreeMap<String, Arc<CompiledPattern>>,
     radii: Vec<Option<usize>>,
-    state: GraphState,
     graph: Graph,
-    /// Per rule: violating matches, keyed by the full match vector.
-    violations: Vec<BTreeSet<Vec<NodeId>>>,
+    /// Per rule: violating matches keyed `(pivot image, match)`, so the
+    /// violations pivoted at one node are one contiguous range.
+    violations: Vec<BTreeSet<(NodeId, Vec<NodeId>)>>,
     stats: MonitorStats,
 }
 
@@ -203,17 +229,15 @@ fn rule_fingerprint(rule: &MonitorRule) -> String {
 }
 
 impl ViolationMonitor {
-    /// Builds the monitor with a full initial validation pass.
+    /// Builds the monitor over its own copy of `g` with a full initial
+    /// validation pass.
     pub fn new(g: &Graph, rules: Vec<MonitorRule>) -> ViolationMonitor {
-        let state = GraphState::from_graph(g);
-        let graph = state.freeze();
         let mut mon = ViolationMonitor {
             rules: Vec::new(),
             compiled: Vec::new(),
             plan_cache: BTreeMap::new(),
             radii: Vec::new(),
-            state,
-            graph,
+            graph: g.clone(),
             violations: Vec::new(),
             stats: MonitorStats::default(),
         };
@@ -247,10 +271,11 @@ impl ViolationMonitor {
             .collect();
         self.violations = Vec::with_capacity(rules.len());
         for (rule, cp) in rules.iter().zip(&self.compiled) {
+            let pivot = rule.pattern().pivot();
             let mut set = BTreeSet::new();
             let _ = cp.matcher(&self.graph).for_each(|m| {
                 if !rule.match_satisfies(m, &self.graph) {
-                    set.insert(m.to_vec());
+                    set.insert((m[pivot], m.to_vec()));
                 }
                 ControlFlow::Continue(())
             });
@@ -315,9 +340,10 @@ impl ViolationMonitor {
         &self.graph
     }
 
-    /// Current violating matches of rule `i`.
+    /// Current violating matches of rule `i`, ordered by pivot image and
+    /// then by match.
     pub fn violations(&self, i: usize) -> impl Iterator<Item = &[NodeId]> {
-        self.violations[i].iter().map(|m| m.as_slice())
+        self.violations[i].iter().map(|(_, m)| m.as_slice())
     }
 
     /// Total current violations across rules.
@@ -330,40 +356,79 @@ impl ViolationMonitor {
         self.total_violations() == 0
     }
 
-    /// Applies a batch and reports the violation delta.
+    /// Applies a batch and reports the violation delta. An
+    /// attribute-only batch is patched into the graph in place; a batch
+    /// that adds nodes or adds or removes edges rebuilds it.
+    ///
+    /// # Panics
+    /// Panics, before applying any op, if an op names a node that does
+    /// not exist when it applies (see [`UpdateBatch::add_node`] for the
+    /// ids a batch's own node additions receive).
     pub fn apply(&mut self, batch: &UpdateBatch) -> ViolationDelta {
-        let touched = self.state.apply_batch(batch);
-        let new_graph = self.state.freeze();
-
+        check_node_ids(batch, self.graph.node_count());
         let max_radius = self.radii.iter().filter_map(|r| *r).max().unwrap_or(0);
-        let dist_old = bounded_bfs(&self.graph, &touched, max_radius);
-        let dist_new = bounded_bfs(&new_graph, &touched, max_radius);
+        let attr_only = batch
+            .ops()
+            .iter()
+            .all(|u| matches!(u, Update::SetAttr { .. } | Update::RemoveAttr { .. }));
+        // Nodes within `max_radius` hops of the touched set in the pre- or
+        // post-update graph, each with its smaller distance.
+        let reached = if attr_only {
+            let mut touched = Vec::with_capacity(batch.len());
+            for u in batch.ops() {
+                match *u {
+                    Update::SetAttr { node, attr, value } => {
+                        self.graph.set_attr_by_id(node, attr, value);
+                        touched.push(node);
+                    }
+                    Update::RemoveAttr { node, attr } => {
+                        self.graph.remove_attr_by_id(node, attr);
+                        touched.push(node);
+                    }
+                    _ => unreachable!("attribute-only batch"),
+                }
+            }
+            touched.sort_unstable();
+            touched.dedup();
+            bounded_bfs(&self.graph, &touched, max_radius)
+        } else {
+            let mut state = GraphState::from_graph(&self.graph);
+            let touched = state.apply_batch(batch);
+            let new_graph = state.freeze();
+            let mut reached = bounded_bfs(&self.graph, &touched, max_radius);
+            reached.extend(bounded_bfs(&new_graph, &touched, max_radius));
+            reached.sort_unstable();
+            reached.dedup_by_key(|&mut (v, _)| v);
+            self.graph = new_graph;
+            reached
+        };
+        let graph = &self.graph;
 
         let mut delta = ViolationDelta::default();
         let mut affected_total = 0usize;
+        let mut scratch = MatcherScratch::new();
 
         for (i, rule) in self.rules.iter().enumerate() {
             let q = rule.pattern();
-            let pivot_label = q.node_label(q.pivot());
+            let pivot = q.pivot();
+            let pivot_label = q.node_label(pivot);
             // Size of the pivot's whole label class — the cost of a full
             // re-enumeration, and the denominator of the crossover test.
             let class_size = match pivot_label {
-                PLabel::Is(l) => new_graph.nodes_with_label(l).len(),
-                PLabel::Wildcard => new_graph.node_count(),
+                PLabel::Is(l) => graph.nodes_with_label(l).len(),
+                PLabel::Wildcard => graph.node_count(),
             };
             // Affected pivot candidates for this rule's radius. A pattern
             // without a finite radius (disconnected — excluded by §4 but
             // tolerated here) always takes the full path.
             let affected: Option<Vec<NodeId>> = match self.radii[i] {
                 Some(dq) => {
-                    let dq = dq as u32;
-                    let candidates: Vec<NodeId> = (0..new_graph.node_count())
-                        .map(NodeId::from_index)
-                        .filter(|v| {
-                            let near_new = dist_new[v.index()] <= dq;
-                            let near_old = v.index() < dist_old.len() && dist_old[v.index()] <= dq;
-                            (near_new || near_old) && pivot_label.admits(new_graph.node_label(*v))
+                    let candidates: Vec<NodeId> = reached
+                        .iter()
+                        .filter(|&&(v, d)| {
+                            d as usize <= dq && pivot_label.admits(graph.node_label(v))
                         })
+                        .map(|&(v, _)| v)
                         .collect();
                     // Crossover: once the touched neighbourhood covers a
                     // large fraction of the label class, per-pivot probing
@@ -380,70 +445,65 @@ impl ViolationMonitor {
 
             // Re-enumerate matches anchored at affected pivots (bound
             // path), or the whole label class (fallback), reusing the
-            // rule's compiled plan and one matcher's scratch buffers.
-            let mut fresh: BTreeSet<Vec<NodeId>> = BTreeSet::new();
-            {
-                let mut matcher = self.compiled[i].matcher(&new_graph);
-                let mut sink = |m: &[NodeId]| {
-                    if !rule.match_satisfies(m, &new_graph) {
-                        fresh.insert(m.to_vec());
-                    }
-                    ControlFlow::Continue(())
-                };
-                match &affected {
-                    Some(pivots) => {
-                        self.stats.bound_queries += pivots.len() as u64;
-                        for &v in pivots {
-                            let _ = matcher.for_each_at(v, &mut sink);
-                        }
-                    }
-                    None => {
-                        self.stats.bound_fallbacks += 1;
-                        let _ = matcher.for_each(&mut sink);
+            // rule's compiled plan and one set of scratch buffers.
+            let mut fresh: BTreeSet<(NodeId, Vec<NodeId>)> = BTreeSet::new();
+            let mut matcher = self.compiled[i].matcher_from(graph, scratch);
+            let mut sink = |m: &[NodeId]| {
+                if !rule.match_satisfies(m, graph) {
+                    fresh.insert((m[pivot], m.to_vec()));
+                }
+                ControlFlow::Continue(())
+            };
+            match &affected {
+                Some(pivots) => {
+                    self.stats.bound_queries += pivots.len() as u64;
+                    for &v in pivots {
+                        let _ = matcher.for_each_at(v, &mut sink);
                     }
                 }
+                None => {
+                    self.stats.bound_fallbacks += 1;
+                    let _ = matcher.for_each(&mut sink);
+                }
             }
+            scratch = matcher.into_scratch();
             affected_total += affected.as_ref().map_or(class_size, Vec::len);
 
             // Stored violations whose pivot is affected are stale (all of
             // them, after a full re-enumeration).
             let stored = &mut self.violations[i];
-            let stale: Vec<Vec<NodeId>> = match &affected {
+            let stale: BTreeSet<(NodeId, Vec<NodeId>)> = match &affected {
                 Some(pivots) => {
-                    let affected_set: BTreeSet<NodeId> = pivots.iter().copied().collect();
-                    stored
+                    let stale: BTreeSet<_> = pivots
                         .iter()
-                        .filter(|m| affected_set.contains(&m[q.pivot()]))
+                        .flat_map(|&v| {
+                            stored
+                                .range((v, Vec::new())..)
+                                .take_while(move |(p, _)| *p == v)
+                        })
                         .cloned()
-                        .collect()
+                        .collect();
+                    for key in &stale {
+                        stored.remove(key);
+                    }
+                    stale
                 }
-                None => stored.iter().cloned().collect(),
+                None => std::mem::take(stored),
             };
 
-            let mut rd = RuleDelta::default();
-            let stale_set: BTreeSet<&Vec<NodeId>> = stale.iter().collect();
-            for m in &stale {
-                if !fresh.contains(m) {
-                    rd.removed.push(m.clone());
-                }
-            }
-            for m in &fresh {
-                // Newly violating = re-found but not previously stored
-                // (a violation that persists through the batch is neither
-                // added nor removed).
-                if !stale_set.contains(m) && !stored.contains(m) {
-                    rd.added.push(m.clone());
-                }
-            }
-            for m in &stale {
-                stored.remove(m);
-            }
+            // A violation that persists through the batch is neither added
+            // nor removed. Deltas list matches in match order.
+            let mut rd = RuleDelta {
+                added: fresh.difference(&stale).map(|(_, m)| m.clone()).collect(),
+                removed: stale.difference(&fresh).map(|(_, m)| m.clone()).collect(),
+            };
+            rd.added.sort_unstable();
+            rd.removed.sort_unstable();
             stored.extend(fresh);
             delta.per_rule.push(rd);
         }
 
         delta.affected_pivots = affected_total;
-        self.graph = new_graph;
         delta
     }
 }
@@ -685,6 +745,64 @@ mod tests {
         mon.refresh_catalog(both);
         assert_eq!(mon.stats().plans_compiled, 2);
         assert_eq!(mon.stats().plan_cache_hits, 2);
+    }
+
+    /// An attribute-only batch patches the graph in place: the edge array
+    /// is the same allocation afterwards, so no rebuild ran. A topology
+    /// batch does rebuild it.
+    #[test]
+    fn attribute_only_batch_patches_the_graph_in_place() {
+        let (g, rules) = fixture();
+        let ty = g.interner().lookup_attr("type").unwrap();
+        let mut mon = ViolationMonitor::new(&g, rules);
+        let edges = mon.graph().edges().as_ptr();
+        let mut batch = UpdateBatch::new();
+        batch.set_attr(NodeId::from_index(0), ty, Value::Int(7));
+        batch.remove_attr(NodeId::from_index(3), ty);
+        let delta = mon.apply(&batch);
+        assert_eq!(delta.added(), 1);
+        assert_eq!(mon.graph().edges().as_ptr(), edges);
+        assert_eq!(
+            mon.graph().attr(NodeId::from_index(0), ty),
+            Some(Value::Int(7))
+        );
+        assert_eq!(mon.graph().attr(NodeId::from_index(3), ty), None);
+
+        let create = g.interner().lookup_label("create").unwrap();
+        let mut batch = UpdateBatch::new();
+        batch.add_edge(NodeId::from_index(2), NodeId::from_index(1), create);
+        mon.apply(&batch);
+        assert_ne!(mon.graph().edges().as_ptr(), edges);
+    }
+
+    /// A batch naming a node the graph does not have fails before any of
+    /// its ops is applied, valid ops before the bad one included.
+    #[test]
+    fn out_of_range_batch_fails_before_any_op_is_applied() {
+        let (g, rules) = fixture();
+        let ty = g.interner().lookup_attr("type").unwrap();
+        let create = g.interner().lookup_label("create").unwrap();
+        let person = g.interner().lookup_label("person").unwrap();
+        let mut mon = ViolationMonitor::new(&g, rules);
+        let n = g.node_count();
+        let mut attr = UpdateBatch::new();
+        attr.set_attr(NodeId::from_index(0), ty, Value::Int(7));
+        attr.set_attr(NodeId::from_index(n), ty, Value::Int(7));
+        // The edge names the node the batch adds, but before adding it.
+        let mut topo = UpdateBatch::new();
+        topo.set_attr(NodeId::from_index(0), ty, Value::Int(7));
+        topo.add_edge(NodeId::from_index(n), NodeId::from_index(1), create);
+        topo.add_node(n, person);
+        for bad in [attr, topo] {
+            let res = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| mon.apply(&bad)));
+            assert!(res.is_err());
+            assert_eq!(mon.graph().node_count(), n);
+            assert_eq!(mon.graph().edges(), g.edges());
+            for v in g.nodes() {
+                assert_eq!(mon.graph().attrs(v), g.attrs(v));
+            }
+            assert!(mon.is_clean());
+        }
     }
 
     /// A batch touching most of the graph crosses the crossover heuristic

@@ -1,11 +1,12 @@
-//! Mutable graph state behind the monitor.
+//! A mutable, unindexed copy of a graph, for updates that change topology.
 //!
-//! [`Graph`] is frozen (CSR adjacency, per-label indexes) because matching
-//! dominates everything else; updates therefore go through a mutable
-//! shadow copy that re-freezes per batch. The re-freeze is `O(|G|)` — the
-//! point of incrementality is avoiding `O(|G|^k)` *re-matching*, not the
-//! linear rebuild (§5.3: validation subsumes subgraph isomorphism, the
-//! exponential part).
+//! [`Graph`]'s topology is frozen (CSR adjacency, per-label indexes)
+//! because matching dominates everything else; only attribute values can
+//! be edited in place. A batch that adds nodes or adds or removes edges
+//! therefore goes through a [`GraphState`]: copy the graph out, apply the
+//! batch, and freeze a new graph. That round trip costs `O(|G|)`, so the
+//! monitor takes it only for topology batches; an attribute-only batch
+//! costs its touched neighbourhood.
 
 use std::sync::Arc;
 
@@ -13,7 +14,7 @@ use gfd_graph::{AttrId, Edge, Graph, GraphBuilder, Interner, LabelId, NodeId, Va
 
 use crate::update::{Update, UpdateBatch};
 
-/// The mutable shadow of a property graph.
+/// A mutable copy of a property graph's nodes, attributes and edges.
 #[derive(Clone, Debug)]
 pub struct GraphState {
     interner: Arc<Interner>,

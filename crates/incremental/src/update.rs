@@ -84,6 +84,12 @@ impl UpdateBatch {
         self.ops.len()
     }
 
+    /// Number of `AddNode`s queued; they receive the ids after the
+    /// graph's nodes, in batch order.
+    pub fn added_nodes(&self) -> usize {
+        self.added_nodes
+    }
+
     /// Queues a raw update.
     pub fn push(&mut self, u: Update) -> &mut Self {
         if matches!(u, Update::AddNode { .. }) {
