@@ -1,5 +1,5 @@
 //! Microbenchmarks for the hot kernels: subgraph matching, incremental
-//! joins, closure computation, canonical codes, vertex cut, implication.
+//! joins, closure computation, canonical codes, implication.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -64,10 +64,6 @@ fn bench_micro(c: &mut Criterion) {
     );
     c.bench_function("logic/implication check", |b| {
         b.iter(|| black_box(implies(std::slice::from_ref(&wild), &phi)))
-    });
-
-    c.bench_function("partition/vertex cut n=8", |b| {
-        b.iter(|| black_box(gfd_parallel::vertex_cut(&g, 8).replication_factor))
     });
 }
 

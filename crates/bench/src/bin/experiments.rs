@@ -71,10 +71,13 @@ fn run(name: &str, scale: Scale) {
             exp_extensions::ext_extended(scale).print();
         }
         // CI smoke: sequential discovery on the tiny datagen scenario, so
-        // the harness (datagen scenario + discovery + stats) cannot rot.
+        // the harness (datagen scenario + discovery + stats) cannot rot;
+        // the mined Σ's SeqCover and grouped ParCover must keep the same
+        // survivors.
         "smoke" => {
-            use gfd_core::{seq_dis, DiscoveryConfig};
+            use gfd_core::{cover_indices, seq_dis, DiscoveryConfig};
             use gfd_datagen::{bench_scenario, ScenarioConfig};
+            use gfd_parallel::{par_cover, ExecMode};
             let cfg = ScenarioConfig::tiny();
             let g = bench_scenario(&cfg);
             let mut mining = DiscoveryConfig::new(3, (g.node_count() / 40).max(5));
@@ -97,9 +100,21 @@ fn run(name: &str, scale: Scale) {
                 result.gfds.len(),
                 result.stats.total_time,
             );
+            let rules = result.rules();
+            let kept = cover_indices(&rules);
+            for workers in [1, 2, 4] {
+                let par =
+                    par_cover(&rules, workers, ExecMode::Simulated, true).expect("fault-free");
+                assert_eq!(
+                    par.cover, kept,
+                    "ParCover survivors differ from SeqCover's at {workers} workers"
+                );
+            }
+            println!("smoke: cover keeps {} of {} rules", kept.len(), rules.len());
         }
         // CI smoke: the work-stealing runtime on the tiny scenario, in both
-        // execution modes, pinned to the sequential output.
+        // execution modes, and the barrier runtime (simulated), all pinned
+        // to the sequential output.
         "smoke-steal" => {
             use gfd_core::{seq_dis, DiscoveryConfig};
             use gfd_datagen::{bench_scenario, ScenarioConfig};
@@ -123,17 +138,21 @@ fn run(name: &str, scale: Scale) {
             };
             let want = fingerprint(&seq);
             assert!(!want.is_empty(), "steal smoke mined no rules");
-            for mode in [ExecMode::Threads, ExecMode::Simulated] {
+            for (runtime, mode) in [
+                (Runtime::Steal, ExecMode::Threads),
+                (Runtime::Steal, ExecMode::Simulated),
+                (Runtime::Barrier, ExecMode::Simulated),
+            ] {
                 let ccfg = ClusterConfig::new(4, mode);
-                let par =
-                    par_dis_with_runtime(&g, &mining, &ccfg, Runtime::Steal).expect("fault-free");
+                let par = par_dis_with_runtime(&g, &mining, &ccfg, runtime).expect("fault-free");
+                let name = runtime.name();
                 assert_eq!(
                     fingerprint(&par.result),
                     want,
-                    "steal output diverged in {mode:?}"
+                    "{name} output diverged in {mode:?}"
                 );
                 println!(
-                    "smoke-steal {mode:?}: gfds={} waves={} work_makespan={} wall={:?}",
+                    "smoke-steal {name} {mode:?}: gfds={} waves={} work_makespan={} wall={:?}",
                     par.result.gfds.len(),
                     par.barriers,
                     par.work_makespan,

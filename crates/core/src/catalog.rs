@@ -126,6 +126,7 @@ impl CatalogCounts {
         }
         // gfd-lint: allow(nondeterminism) — push order is erased by the total-order sort before the cap and the final sort/dedup
         for ((var, attr), mut ranked) in per_term {
+            // gfd-lint: allow(nondeterminism) — total: ties on count break on the value, unique per term
             ranked.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
             ranked.truncate(values_per_attr);
             for (value, count) in ranked {
@@ -144,11 +145,13 @@ impl CatalogCounts {
             // Tie-break by the literal itself: a count-only sort would let
             // hash-iteration push order decide which equal-count
             // candidates survive the cap.
+            // gfd-lint: allow(nondeterminism) — total: ties on count break on the literal, so equal keys are equal entries
             ranked_literals.sort_unstable_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
             ranked_literals.truncate(max_literals);
         }
         // Canonical catalog order, carrying each literal's row count so the
         // lattice can order premises by selectivity without re-counting.
+        // gfd-lint: allow(nondeterminism) — total: the key is the whole (literal, count) entry
         ranked_literals.sort_unstable_by(|a, b| a.0.cmp(&b.0).then_with(|| b.1.cmp(&a.1)));
         ranked_literals.dedup_by(|a, b| a.0 == b.0);
         let (literals, counts) = ranked_literals.into_iter().unzip();
@@ -211,6 +214,7 @@ impl LiteralCatalog {
             .copied()
             .zip(self.literals.iter().copied())
             .collect();
+        // gfd-lint: allow(nondeterminism) — total: the key is the whole (count, literal) entry
         paired.sort_unstable_by(|a, b| a.0.cmp(&b.0).then_with(|| a.1.cmp(&b.1)));
         paired.into_iter().map(|(_, l)| l).collect()
     }

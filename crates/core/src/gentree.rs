@@ -3,11 +3,12 @@
 //! Nodes hold patterns level by level (level = edge count); an edge
 //! `(v, v')` records that `v'.Q` extends `v.Q` by one edge. Spawned
 //! patterns are de-duplicated by pivot-preserving canonical code (`iso(Q)`),
-//! and each node keeps its parent set `P(Q)` — merged on de-duplication —
-//! which `ParCover` later walks to build implication groups (§6.3).
+//! and each node keeps its parent set `P(Q)`, merged on de-duplication.
+//! The tree holds no matches: each discovery executor keeps the match
+//! sets it still needs ([`crate::driver`]).
 
 use gfd_graph::FxHashMap;
-use gfd_pattern::{Extension, MatchSet, Pattern, PatternRegistry};
+use gfd_pattern::{Extension, Pattern, PatternRegistry};
 
 use crate::hspawn::Covered;
 
@@ -41,8 +42,6 @@ pub struct GenNode {
     pub extension_of: Option<(usize, Extension)>,
     /// `supp(Q, G)` once verified.
     pub support: usize,
-    /// Verified matches (dropped once the next level is built).
-    pub matches: Option<MatchSet>,
     /// Satisfied dependency signatures, inherited down the primary chain.
     pub covered: Vec<Covered>,
     /// Verification state.
@@ -115,7 +114,6 @@ impl GenTree {
             parents: parent.into_iter().collect(),
             extension_of: parent.zip(ext),
             support: 0,
-            matches: None,
             covered: Vec::new(),
             state: NodeState::Pending,
         });
@@ -157,18 +155,8 @@ impl GenTree {
         self.nodes.is_empty()
     }
 
-    /// Drops stored matches of every node at levels `< level` (memory
-    /// reclamation between supersteps).
-    pub fn drop_matches_below(&mut self, level: usize) {
-        for node in &mut self.nodes {
-            if node.level < level {
-                node.matches = None;
-            }
-        }
-    }
-
-    /// Transitive ancestor ids of `id` through `P(Q)` (used by `ParCover`
-    /// grouping, §6.3). The result excludes `id` itself and is sorted.
+    /// Transitive ancestor ids of `id` through `P(Q)`. The result excludes
+    /// `id` itself and is sorted.
     pub fn ancestors(&self, id: usize) -> Vec<usize> {
         let mut seen = vec![false; self.nodes.len()];
         let mut stack = self.nodes[id].parents.clone();
@@ -256,14 +244,5 @@ mod tests {
             .id();
         assert_eq!(t.ancestors(deep), vec![r0, r1, e]);
         assert_eq!(t.ancestors(r0), Vec::<usize>::new());
-    }
-
-    #[test]
-    fn drop_matches_reclaims_lower_levels() {
-        let mut t = GenTree::new();
-        let id = t.insert(Pattern::single(l(0)), None, None).id();
-        t.node_mut(id).matches = Some(MatchSet::new(1));
-        t.drop_matches_below(1);
-        assert!(t.node(id).matches.is_none());
     }
 }

@@ -378,6 +378,7 @@ pub struct RhsMineOutcome {
 /// emission order (a no-op); under selectivity enumeration it restores the
 /// same order, making rule sets bit-identical across literal orders.
 fn canonicalize(o: &mut RhsMineOutcome) {
+    // gfd-lint: allow(nondeterminism) — total: the last tie-break is the premise set, distinct within one consequence's lattice
     o.deps.sort_unstable_by(|a, b| {
         a.lhs
             .len()
@@ -385,6 +386,7 @@ fn canonicalize(o: &mut RhsMineOutcome) {
             .then_with(|| a.lhs.cmp(&b.lhs))
     });
     o.covered_additions
+        // gfd-lint: allow(nondeterminism) — total: the last tie-break is the premise set, distinct within one consequence's lattice
         .sort_unstable_by(|a, b| a.0.len().cmp(&b.0.len()).then_with(|| a.0.cmp(&b.0)));
 }
 

@@ -13,6 +13,8 @@
 //!   evaluation into word-wise ANDs + popcounts,
 //! * [`catalog`] — candidate literals from `Γ` and frequent constants,
 //! * [`gentree`] — the GFD generation tree `T` with `iso(Q)` dedup,
+//! * [`driver`] — the levelwise schedule every runtime shares, generic over
+//!   an [`Executor`] that owns the matches,
 //! * [`vspawn`] — vertical spawning (`VSpawn`/`NVSpawn`),
 //! * [`hspawn`] — horizontal spawning (`HSpawn`/`NHSpawn`) with Lemma 4
 //!   pruning,
@@ -27,6 +29,7 @@ pub mod bitmap;
 pub mod bound;
 pub mod catalog;
 pub mod config;
+pub mod driver;
 pub mod gentree;
 pub mod hspawn;
 pub mod result;
@@ -40,6 +43,7 @@ pub use bitmap::BitmapIndex;
 pub use bound::{BoundPlans, BoundValidator, DEFAULT_BITMAP_THRESHOLD};
 pub use catalog::{CatalogCounts, LiteralCatalog};
 pub use config::{DiscoveryConfig, LiteralOrder};
+pub use driver::{Driver, Executor, Joined, MineJob, MineOutcome, Spawn};
 pub use gentree::{GenNode, GenTree, Inserted, NodeState};
 pub use hspawn::{
     finish_negatives, merge_rhs_outcome, mine_dependencies, mine_dependencies_with,
@@ -47,8 +51,8 @@ pub use hspawn::{
     RangeEvaluator, RhsMineOutcome, TableEvaluator,
 };
 pub use result::{peak_rss_bytes, DiscoveredGfd, DiscoveryResult, DiscoveryStats};
-pub use seqcover::{cover_indices, seq_cover, seq_cover_discovered};
-pub use seqdis::{seq_dis, seq_dis_with_tree};
+pub use seqcover::{cover_indices, removal_order, seq_cover, seq_cover_discovered};
+pub use seqdis::seq_dis;
 pub use support::{distinct_pivots, evaluate, lhs_satisfiable, CandidateStats, PartialStats};
 pub use table::MatchTable;
 pub use vspawn::{

@@ -9,26 +9,34 @@
 //! Removal order matters for *which* cover comes out (not for
 //! correctness): we test the most specific rules first — larger patterns,
 //! then longer premises — so general rules survive and redundant
-//! specialisations go.
+//! specialisations go. [`removal_order`] is that order, shared with
+//! `ParCover`.
+
+use std::cmp::Reverse;
 
 use gfd_logic::{implies_refs, Gfd};
 
 use crate::result::DiscoveredGfd;
 
+/// Sorts indices into `sigma` in cover removal order: most specific first
+/// — larger pattern (edges, then nodes), then longer premise — and, among
+/// equally specific rules, the earlier rule of `sigma` first. The index
+/// tie-break makes the order total, so which of two mutually implying
+/// rules survives never rests on a sort's tie order.
+pub fn removal_order(sigma: &[Gfd], order: &mut [usize]) {
+    // gfd-lint: allow(nondeterminism) — total: the last tie-break is the rule's index in sigma
+    order.sort_unstable_by_key(|&i| {
+        let g = &sigma[i];
+        let q = g.pattern();
+        (Reverse((q.edge_count(), q.node_count(), g.lhs().len())), i)
+    });
+}
+
 /// Computes a cover of `sigma`, returning the surviving indices (sorted).
 pub fn cover_indices(sigma: &[Gfd]) -> Vec<usize> {
     let mut alive: Vec<bool> = vec![true; sigma.len()];
-
-    // Most specific first: larger pattern (edges, then nodes), longer LHS.
     let mut order: Vec<usize> = (0..sigma.len()).collect();
-    order.sort_unstable_by_key(|&i| {
-        let g = &sigma[i];
-        std::cmp::Reverse((
-            g.pattern().edge_count(),
-            g.pattern().node_count(),
-            g.lhs().len(),
-        ))
-    });
+    removal_order(sigma, &mut order);
 
     // One pass suffices: implication is monotone in Σ, so a rule implied by
     // the survivors now would also have been implied by the larger set; and
@@ -102,6 +110,8 @@ mod tests {
         let sigma = vec![r.clone(), r.clone(), r];
         let cover = seq_cover(&sigma);
         assert_eq!(cover.len(), 1);
+        // Ties are tested earliest first, so the last copy survives.
+        assert_eq!(cover_indices(&sigma), vec![2]);
     }
 
     #[test]

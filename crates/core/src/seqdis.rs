@@ -11,338 +11,176 @@
 //! Pruning (Lemma 4) cuts trivial, non-reduced, and infrequent candidates;
 //! disabling it (`cfg.enable_pruning = false`) reproduces the `ParGFDn`
 //! ablation that the paper reports as infeasible.
+//!
+//! The schedule itself is [`crate::driver::Driver`]'s; this module is its
+//! inline executor. A match set lives only while a later step reads it: a
+//! rejected child's rows go right after its join, a level's parents' rows
+//! when the level is done, and one match table is built at a time.
 
+use std::convert::Infallible;
 use std::time::Instant;
 
-use gfd_graph::{triple_stats, Graph};
-use gfd_logic::{Gfd, Rhs};
-use gfd_pattern::{extend_matches, is_embedded, MatchSet, PLabel, Pattern};
+use gfd_graph::{AttrId, FxHashMap, Graph};
+use gfd_pattern::{extend_matches, MatchSet, PLabel};
 
 use crate::catalog::LiteralCatalog;
 use crate::config::DiscoveryConfig;
-use crate::gentree::{GenTree, Inserted, NodeState};
+use crate::driver::{Driver, Executor, Joined, MineJob, MineOutcome, Spawn};
+use crate::gentree::GenTree;
 use crate::hspawn::{mine_dependencies_with, CandidateEvaluator, TableEvaluator};
-use crate::result::{DiscoveredGfd, DiscoveryResult};
+use crate::result::{DiscoveryResult, DiscoveryStats};
 use crate::support::distinct_pivots;
 use crate::table::MatchTable;
-use crate::vspawn::{
-    harvest_range_cached, proposals_from_harvest, propose_negative_extensions, SignatureCache,
-};
-
-/// Runs sequential discovery, returning the mined set `Σ` and the
-/// generation tree (consumed by cover computation and `ParCover` grouping).
-pub fn seq_dis_with_tree(g: &Graph, cfg: &DiscoveryConfig) -> (DiscoveryResult, GenTree) {
-    let started = Instant::now();
-    let attrs = cfg.resolve_active_attrs(g);
-    let triples = triple_stats(g);
-    let mut tree = GenTree::new();
-    let mut result = DiscoveryResult::default();
-    // Patterns of emitted `(∅ → false)` negatives: minimality filter.
-    let mut negative_patterns: Vec<Pattern> = Vec::new();
-    // Node-signature summaries memoise across every pattern of the run —
-    // the graph is frozen, so they never invalidate.
-    let mut sig_cache = SignatureCache::default();
-
-    // Cold start (§5.1): single-node patterns for σ-frequent labels, plus
-    // the wildcard root when upgrades are enabled.
-    for (label, count) in g.node_label_frequencies() {
-        if (count as usize) < cfg.sigma && cfg.enable_pruning {
-            continue;
-        }
-        let q = Pattern::single(PLabel::Is(label));
-        let mut ms = MatchSet::new(1);
-        for &n in g.nodes_with_label(label) {
-            ms.push(&[n]);
-        }
-        seed_root(&mut tree, g, q, ms, &attrs, cfg, &mut result);
-    }
-    if cfg.wildcard_min_labels > 0
-        && cfg.wildcard_root
-        && g.node_label_frequencies().len() >= cfg.wildcard_min_labels
-        && g.node_count() >= cfg.sigma
-    {
-        let q = Pattern::single(PLabel::Wildcard);
-        let mut ms = MatchSet::new(1);
-        for n in g.nodes() {
-            ms.push(&[n]);
-        }
-        seed_root(&mut tree, g, q, ms, &attrs, cfg, &mut result);
-    }
-
-    // Levelwise expansion.
-    for level in 1..=cfg.level_cap() {
-        let parents: Vec<usize> = tree
-            .level(level - 1)
-            .iter()
-            .copied()
-            .filter(|&id| tree.node(id).state == NodeState::Frequent)
-            .collect();
-        if parents.is_empty() {
-            break;
-        }
-        let mut spawned_this_level = 0usize;
-
-        for pid in parents {
-            let (proposals, negs) = {
-                let parent = tree.node(pid);
-                let Some(ms) = parent.matches.as_ref() else {
-                    continue;
-                };
-                let t0 = Instant::now();
-                let mut raw =
-                    harvest_range_cached(&parent.pattern, ms, g, cfg, 0, ms.len(), &mut sig_cache);
-                result.stats.spawning_work += raw.work;
-                result.stats.spawning_harvest_time += t0.elapsed();
-                let t1 = Instant::now();
-                let proposals = proposals_from_harvest(&mut raw, cfg);
-                let negs = if cfg.mine_negative {
-                    propose_negative_extensions(&parent.pattern, g, &triples, &proposals.seen, cfg)
-                } else {
-                    Vec::new()
-                };
-                result.stats.spawning_merge_time += t1.elapsed();
-                result.stats.spawning_time += t0.elapsed();
-                (proposals, negs)
-            };
-
-            // Positive-side extensions: verify by incremental join.
-            for (ext, _count) in proposals.frequent {
-                if cfg.max_patterns_per_level > 0
-                    && spawned_this_level >= cfg.max_patterns_per_level
-                {
-                    break;
-                }
-                result.stats.patterns_spawned += 1;
-                let child_pattern = tree.node(pid).pattern.extend(&ext);
-                match tree.insert(child_pattern, Some(pid), Some(ext)) {
-                    Inserted::Existing(_) => {
-                        result.stats.patterns_deduped += 1;
-                        continue;
-                    }
-                    Inserted::Fresh(cid) => {
-                        spawned_this_level += 1;
-                        let t0 = Instant::now();
-                        let ms = {
-                            let parent = tree.node(pid);
-                            extend_matches(
-                                &parent.pattern,
-                                parent.matches.as_ref().expect("parent matches live"),
-                                &ext,
-                                g,
-                            )
-                        };
-                        result.stats.matching_time += t0.elapsed();
-                        verify_node(
-                            &mut tree,
-                            cid,
-                            pid,
-                            ms,
-                            g,
-                            &attrs,
-                            cfg,
-                            &mut result,
-                            &mut negative_patterns,
-                        );
-                    }
-                }
-            }
-
-            // NVSpawn: guaranteed-zero-support extensions (case (a)).
-            for ext in negs {
-                result.stats.patterns_spawned += 1;
-                let child_pattern = tree.node(pid).pattern.extend(&ext);
-                match tree.insert(child_pattern.clone(), Some(pid), Some(ext)) {
-                    Inserted::Existing(_) => {
-                        result.stats.patterns_deduped += 1;
-                    }
-                    Inserted::Fresh(cid) => {
-                        tree.node_mut(cid).state = NodeState::Empty;
-                        result.stats.patterns_empty += 1;
-                        emit_negative_pattern(
-                            &tree,
-                            cid,
-                            pid,
-                            g,
-                            cfg,
-                            &mut result,
-                            &mut negative_patterns,
-                        );
-                    }
-                }
-            }
-        }
-
-        // Matches below the frontier are no longer needed.
-        if level >= 1 {
-            tree.drop_matches_below(level);
-        }
-    }
-
-    result.stats.positive = result.positive_count();
-    result.stats.negative = result.negative_count();
-    result.stats.total_time = started.elapsed();
-    result.stats.peak_rss_bytes = crate::result::peak_rss_bytes();
-    result.stats.graph_bytes = g.build_stats().graph_bytes;
-    result.stats.graph_reallocs = g.build_stats().builder_reallocs;
-    (result, tree)
-}
+use crate::vspawn::{harvest_range_cached, RawHarvest, SignatureCache};
 
 /// Runs sequential discovery (`SeqDis` of `SeqDisGFD`).
 pub fn seq_dis(g: &Graph, cfg: &DiscoveryConfig) -> DiscoveryResult {
-    seq_dis_with_tree(g, cfg).0
+    let driver = Driver::new(g, cfg);
+    let mut exec = Inline {
+        g,
+        cfg,
+        attrs: cfg.resolve_active_attrs(g),
+        live: FxHashMap::default(),
+        sig_cache: SignatureCache::default(),
+    };
+    let Ok(result) = driver.run(&mut exec, 0);
+    result
 }
 
-fn seed_root(
-    tree: &mut GenTree,
-    g: &Graph,
-    q: Pattern,
-    ms: MatchSet,
-    attrs: &[gfd_graph::AttrId],
-    cfg: &DiscoveryConfig,
-    result: &mut DiscoveryResult,
-) {
-    if let Inserted::Fresh(id) = tree.insert(q, None, None) {
-        let support = ms.len(); // arity-1 matches: pivots are the nodes
-        let node_state = if support >= cfg.sigma || !cfg.enable_pruning {
-            NodeState::Frequent
-        } else {
-            NodeState::Infrequent
-        };
-        tree.node_mut(id).support = support;
-        tree.node_mut(id).state = node_state;
-        if node_state == NodeState::Frequent {
-            mine_node(tree, id, &ms, g, attrs, cfg, result);
-            tree.node_mut(id).matches = Some(ms);
-            result.stats.patterns_verified += 1;
+/// Every operation runs in this thread over the whole graph.
+struct Inline<'a> {
+    g: &'a Graph,
+    cfg: &'a DiscoveryConfig,
+    attrs: Vec<AttrId>,
+    /// Matches of every frequent pattern a later step still reads.
+    live: FxHashMap<usize, MatchSet>,
+    /// Node-signature summaries memoise across every pattern of the run —
+    /// the graph is frozen, so they never invalidate.
+    sig_cache: SignatureCache,
+}
+
+impl Executor for Inline<'_> {
+    type Error = Infallible;
+
+    fn seed_roots(
+        &mut self,
+        tree: &GenTree,
+        roots: &[usize],
+        keep: &mut dyn FnMut(Joined) -> bool,
+    ) -> Result<(), Infallible> {
+        for &id in roots {
+            let mut ms = MatchSet::new(1);
+            match tree.node(id).pattern.node_label(0) {
+                PLabel::Is(label) => {
+                    for &n in self.g.nodes_with_label(label) {
+                        ms.push(&[n]);
+                    }
+                }
+                PLabel::Wildcard => {
+                    for n in self.g.nodes() {
+                        ms.push(&[n]);
+                    }
+                }
+            }
+            // Arity-1 matches: the pivots are the nodes.
+            let rows = ms.len();
+            if keep(Joined {
+                rows,
+                support: rows,
+            }) {
+                self.live.insert(id, ms);
+            }
         }
+        Ok(())
     }
-}
 
-/// Verifies a freshly spawned pattern: records support, mines dependencies
-/// when frequent, emits a negative GFD when empty.
-#[allow(clippy::too_many_arguments)]
-fn verify_node(
-    tree: &mut GenTree,
-    cid: usize,
-    pid: usize,
-    ms: MatchSet,
-    g: &Graph,
-    attrs: &[gfd_graph::AttrId],
-    cfg: &DiscoveryConfig,
-    result: &mut DiscoveryResult,
-    negative_patterns: &mut Vec<Pattern>,
-) {
-    if ms.is_empty() {
-        tree.node_mut(cid).state = NodeState::Empty;
-        result.stats.patterns_empty += 1;
-        if cfg.mine_negative && tree.node(pid).support >= cfg.sigma {
-            emit_negative_pattern(tree, cid, pid, g, cfg, result, negative_patterns);
+    fn harvest(
+        &mut self,
+        tree: &GenTree,
+        parent: usize,
+        stats: &mut DiscoveryStats,
+    ) -> Result<RawHarvest, Infallible> {
+        let t0 = Instant::now();
+        let ms = &self.live[&parent];
+        let q = &tree.node(parent).pattern;
+        let raw = harvest_range_cached(q, ms, self.g, self.cfg, 0, ms.len(), &mut self.sig_cache);
+        stats.spawning_work += raw.work;
+        stats.spawning_harvest_time += t0.elapsed();
+        stats.spawning_time += t0.elapsed();
+        Ok(raw)
+    }
+
+    fn join(
+        &mut self,
+        tree: &GenTree,
+        spawns: &[Spawn],
+        stats: &mut DiscoveryStats,
+        keep: &mut dyn FnMut(Joined) -> bool,
+    ) -> Result<(), Infallible> {
+        for s in spawns {
+            let t0 = Instant::now();
+            let pms = &self.live[&s.parent];
+            let ms = extend_matches(&tree.node(s.parent).pattern, pms, &s.ext, self.g);
+            stats.matching_time += t0.elapsed();
+            let support = distinct_pivots(&ms, tree.node(s.child).pattern.pivot());
+            if keep(Joined {
+                rows: ms.len(),
+                support,
+            }) {
+                self.live.insert(s.child, ms);
+            }
         }
-        return;
-    }
-    let support = distinct_pivots(&ms, tree.node(cid).pattern.pivot());
-    tree.node_mut(cid).support = support;
-
-    if cfg.max_matches_per_pattern > 0 && ms.len() > cfg.max_matches_per_pattern {
-        // Memory guard: too many matches to mine or expand soundly — the
-        // node is retired (counted as infrequent for bookkeeping).
-        tree.node_mut(cid).state = NodeState::Infrequent;
-        result.stats.patterns_infrequent += 1;
-        return;
-    }
-    if support < cfg.sigma && cfg.enable_pruning {
-        tree.node_mut(cid).state = NodeState::Infrequent;
-        result.stats.patterns_infrequent += 1;
-        return;
+        Ok(())
     }
 
-    tree.node_mut(cid).state = NodeState::Frequent;
-    result.stats.patterns_verified += 1;
-    // Inherit covered signatures down the primary spawn chain (extensions
-    // preserve variable indices).
-    let covered = tree.node(pid).covered.clone();
-    tree.node_mut(cid).covered = covered;
-    mine_node(tree, cid, &ms, g, attrs, cfg, result);
-    tree.node_mut(cid).matches = Some(ms);
-}
-
-/// Horizontal spawning on one verified node.
-fn mine_node(
-    tree: &mut GenTree,
-    id: usize,
-    ms: &MatchSet,
-    g: &Graph,
-    attrs: &[gfd_graph::AttrId],
-    cfg: &DiscoveryConfig,
-    result: &mut DiscoveryResult,
-) {
-    let t0 = Instant::now();
-    let pattern = tree.node(id).pattern.clone();
-    let level = pattern.edge_count();
-    let table = MatchTable::build(&pattern, ms, g, attrs);
-    let catalog = LiteralCatalog::harvest_capped(
-        &table,
-        cfg.values_per_attr,
-        cfg.sigma.min(ms.len()),
-        cfg.max_catalog_literals,
-    );
-    result.stats.catalog_time += t0.elapsed();
-    let t1 = Instant::now();
-    let mut covered = std::mem::take(&mut tree.node_mut(id).covered);
-    let mut eval = TableEvaluator::new(&table);
-    let (deps, hstats) = mine_dependencies_with(&mut eval, &catalog, &mut covered, cfg);
-    result.stats.evaluation_work += eval.work();
-    result.stats.lattice_time += t1.elapsed();
-    tree.node_mut(id).covered = covered;
-    result.stats.hspawn.merge(&hstats);
-    for dep in deps {
-        let confidence = dep.confidence();
-        let gfd = Gfd::new(pattern.clone(), dep.lhs, dep.rhs);
-        debug_assert!(!gfd.is_trivial());
-        result.gfds.push(DiscoveredGfd {
-            gfd,
-            support: dep.support,
-            level,
-            confidence,
-        });
+    fn mine(
+        &mut self,
+        tree: &GenTree,
+        jobs: Vec<MineJob>,
+        _harvest_next: bool,
+        stats: &mut DiscoveryStats,
+    ) -> Result<Vec<MineOutcome>, Infallible> {
+        let mut outcomes = Vec::with_capacity(jobs.len());
+        for job in jobs {
+            let t0 = Instant::now();
+            let ms = &self.live[&job.node];
+            let table = MatchTable::build(&tree.node(job.node).pattern, ms, self.g, &self.attrs);
+            let catalog = LiteralCatalog::harvest_capped(
+                &table,
+                self.cfg.values_per_attr,
+                self.cfg.sigma.min(job.rows),
+                self.cfg.max_catalog_literals,
+            );
+            stats.catalog_time += t0.elapsed();
+            let t1 = Instant::now();
+            let mut covered = job.covered;
+            let mut eval = TableEvaluator::new(&table);
+            let (deps, hstats) =
+                mine_dependencies_with(&mut eval, &catalog, &mut covered, self.cfg);
+            stats.evaluation_work += eval.work();
+            stats.lattice_time += t1.elapsed();
+            stats.validation_time += t0.elapsed();
+            outcomes.push(MineOutcome {
+                deps,
+                covered,
+                hstats,
+            });
+        }
+        Ok(outcomes)
     }
-    result.stats.validation_time += t0.elapsed();
-}
 
-/// Emits `Q'(∅ → false)` for an empty pattern unless a smaller emitted
-/// negative already embeds into it (minimal-trigger filter, §4.1).
-fn emit_negative_pattern(
-    tree: &GenTree,
-    cid: usize,
-    pid: usize,
-    _g: &Graph,
-    _cfg: &DiscoveryConfig,
-    result: &mut DiscoveryResult,
-    negative_patterns: &mut Vec<Pattern>,
-) {
-    let pattern = tree.node(cid).pattern.clone();
-    if negative_patterns
-        .iter()
-        .any(|prev| is_embedded(prev, &pattern))
-    {
-        return;
+    fn level_done(&mut self, driver: &Driver<'_>, level: usize) -> Result<(), Infallible> {
+        self.live
+            .retain(|&id, _| driver.tree.node(id).level >= level);
+        Ok(())
     }
-    let support = tree.node(pid).support;
-    let level = pattern.edge_count();
-    negative_patterns.push(pattern.clone());
-    result.gfds.push(DiscoveredGfd {
-        gfd: Gfd::new(pattern, vec![], Rhs::False),
-        support,
-        level,
-        confidence: 1.0,
-    });
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use gfd_graph::{GraphBuilder, Value};
-    use gfd_logic::Literal;
+    use gfd_logic::{Literal, Rhs};
 
     /// A KB where: every film *creator* is a producer (planted φ1 — not
     /// universal: idle actors exist, so the rule needs the `create`

@@ -102,10 +102,10 @@ pub fn lhs_satisfiable(table: &MatchTable, x: &[Literal]) -> bool {
 
 /// Fragment-local candidate evaluation, mergeable across workers.
 ///
-/// Match rows are disjoint across fragments but **pivots are not** (a pivot
-/// node replicated by the vertex cut can anchor matches in several
-/// fragments), so supports merge as pivot-*sets*, not sums — this is where
-/// our implementation is stricter than the paper's
+/// Match rows are disjoint across fragments but **pivots need not be**
+/// (skew re-balancing moves rows between fragments, so one pivot node can
+/// anchor matches in several), so supports merge as pivot-*sets*, not
+/// sums — this is where our implementation is stricter than the paper's
 /// `supp(φ,G) = Σ_s supp(φ,F_s)` sketch, which can overcount (§6.2).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct PartialStats {

@@ -191,6 +191,7 @@ impl MatchTable {
         }
         // gfd-lint: allow(nondeterminism) — drained into a Vec that is fully sorted (count desc, value asc) on the next line
         let mut out: Vec<(Value, usize)> = counts.into_iter().collect();
+        // gfd-lint: allow(nondeterminism) — total: ties on count break on the value, unique per map key
         out.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
         out.truncate(limit);
         out

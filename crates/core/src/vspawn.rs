@@ -744,6 +744,7 @@ pub fn proposals_from_harvest(raw: &mut RawHarvest, cfg: &DiscoveryConfig) -> Ex
     }
 
     // Deterministic order: highest count first, then by structure.
+    // gfd-lint: allow(nondeterminism) — total: ties on count break on format_key, injective on extensions
     proposals.frequent.sort_unstable_by(|a, b| {
         b.1.cmp(&a.1)
             .then_with(|| format_key(&a.0).cmp(&format_key(&b.0)))
@@ -777,6 +778,8 @@ fn make_new_node_ext(x: Var, dir: Dir, edge: PLabel, node: PLabel) -> Extension 
     }
 }
 
+/// A structural sort key for extensions. Injective: variables, new-node
+/// labels and the wildcard occupy disjoint bit ranges of an endpoint key.
 fn format_key(e: &Extension) -> (u8, u64, u64, u64) {
     let end_key = |end: &End| match end {
         End::Var(v) => (*v as u64) << 32,
@@ -878,6 +881,7 @@ pub fn propose_negative_extensions(
             }
         }
     }
+    // gfd-lint: allow(nondeterminism) — total: format_key is injective, so equal keys are equal extensions
     out.sort_unstable_by_key(format_key);
     out.dedup();
     out

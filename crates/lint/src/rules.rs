@@ -57,7 +57,8 @@ fn in_scope(ctx: &FileContext<'_>, rule: &str, scopes: &[&str]) -> bool {
 // nondeterminism
 // ---------------------------------------------------------------------------
 
-/// Iteration over hash-ordered collections in output-affecting crates.
+/// Iteration over hash-ordered collections, and unstable sorts by a key,
+/// in output-affecting crates.
 ///
 /// `HashMap`/`HashSet` (and the workspace's `FxHashMap`/`FxHashSet`)
 /// iterate in hasher order — a silent nondeterminism that the discovery
@@ -65,7 +66,14 @@ fn in_scope(ctx: &FileContext<'_>, rule: &str, scopes: &[&str]) -> bool {
 /// declared with a hash type in the same file (let bindings, fields,
 /// params) and flags `.iter()`/`.keys()`/`.values()`/`.drain()`/
 /// `.into_iter()` calls and `for … in` loops over them.
+///
+/// `.sort_unstable_by(…)`/`.sort_unstable_by_key(…)` leave elements with
+/// equal keys in an order std does not specify, so a partial key lets
+/// that order reach the output. Each call is flagged; an escape names the
+/// last tie-break that makes its key total.
 pub struct Nondeterminism;
+
+const UNSTABLE_SORTS: &[&str] = &["sort_unstable_by", "sort_unstable_by_key"];
 
 const HASH_TYPES: &[&str] = &["HashMap", "HashSet", "FxHashMap", "FxHashSet"];
 const ITER_METHODS: &[&str] = &[
@@ -129,7 +137,7 @@ impl Rule for Nondeterminism {
     }
 
     fn describe(&self) -> &'static str {
-        "hash-order iteration (HashMap/HashSet/Fx* .iter()/.keys()/.values()/.drain()/for-in) in output-affecting crates"
+        "hash-order iteration (HashMap/HashSet/Fx* .iter()/.keys()/.values()/.drain()/for-in) and unstable sorts by a key in output-affecting crates"
     }
 
     fn check(&self, ctx: &FileContext<'_>, out: &mut Vec<Diagnostic>) {
@@ -145,13 +153,21 @@ impl Rule for Nondeterminism {
             return;
         }
         let names = hash_typed_names(ctx);
-        if names.is_empty() {
-            return;
-        }
         for ci in 0..ctx.code_len() {
             let t = ctx.ctok(ci);
             if ctx.is_test_line(t.line) {
                 continue;
+            }
+            if t.text == "." && UNSTABLE_SORTS.contains(&ctx.ct(ci + 1)) && ctx.ct(ci + 2) == "(" {
+                out.push(ctx.diag(
+                    self.name(),
+                    ctx.ctok(ci + 1).line,
+                    format!(
+                        "`.{}()` leaves equal keys in unspecified order — sort by a total \
+                         key and name its last tie-break in an escape, or sort stably",
+                        ctx.ct(ci + 1)
+                    ),
+                ));
             }
             // `name.iter()` and friends (also matches `expr.field.iter()`
             // when `field` is a hash-typed name declared in this file).

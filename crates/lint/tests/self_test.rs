@@ -5,50 +5,53 @@
 use gfd_lint::{lint_source, rule_names};
 use proptest::prelude::*;
 
-/// One fixture directory per rule, named exactly after the rule so the
-/// engine's `fixtures/<rule>/` scoping puts each file in exactly one
-/// rule's jurisdiction.
-const RULES: &[(&str, usize)] = &[
-    ("nondeterminism", 2), // .values() call + for-in loop
-    ("no-panic", 4),       // unwrap, expect, panic!, computed index
-    ("unsafe-code", 2),    // missing forbid + SAFETY-less unsafe
-    ("simulated-cost", 2), // SystemTime + Instant-into-cost statement
-    ("perf", 8), // format!, .to_vec(), Arc::clone, evaluate, accumulate_lhs in a loop; 2× Vec<Vec<; MatchTable::build
-    ("hygiene", 5), // 2 untracked markers, 2 blanket allows, stale escape
-    ("fault-boundary", 3), // undocumented catch_unwind + recv unwrap + recv_timeout expect
+/// Fixture pairs `<rule>/<stem>bad.rs` and `<rule>/<stem>good.rs`, with
+/// the findings each bad file must produce. One fixture directory per
+/// rule, named exactly after the rule so the engine's `fixtures/<rule>/`
+/// scoping puts each file in exactly one rule's jurisdiction.
+const PAIRS: &[(&str, &str, usize)] = &[
+    ("nondeterminism", "", 2),      // .values() call + for-in loop
+    ("nondeterminism", "sort_", 2), // sort_unstable_by_key + sort_unstable_by on partial keys
+    ("no-panic", "", 4),            // unwrap, expect, panic!, computed index
+    ("unsafe-code", "", 2),         // missing forbid + SAFETY-less unsafe
+    ("simulated-cost", "", 2),      // SystemTime + Instant-into-cost statement
+    ("perf", "", 8), // format!, .to_vec(), Arc::clone, evaluate, accumulate_lhs in a loop; 2× Vec<Vec<; MatchTable::build
+    ("hygiene", "", 5), // 2 untracked markers, 2 blanket allows, stale escape
+    ("fault-boundary", "", 3), // undocumented catch_unwind + recv unwrap + recv_timeout expect
 ];
 
-fn fixture(rule: &str, kind: &str) -> (String, String) {
+fn fixture(rule: &str, file: &str) -> (String, String) {
     let path = format!(
-        "{}/tests/fixtures/{rule}/{kind}.rs",
+        "{}/tests/fixtures/{rule}/{file}.rs",
         env!("CARGO_MANIFEST_DIR")
     );
     let text =
         std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("missing fixture {path}: {e}"));
-    let rel = format!("crates/lint/tests/fixtures/{rule}/{kind}.rs");
+    let rel = format!("crates/lint/tests/fixtures/{rule}/{file}.rs");
     (rel, text)
 }
 
 #[test]
 fn corpus_covers_every_shipped_rule() {
     let shipped = rule_names();
-    let covered: Vec<&str> = RULES.iter().map(|&(r, _)| r).collect();
+    let mut covered: Vec<&str> = PAIRS.iter().map(|&(r, _, _)| r).collect();
+    covered.dedup();
     assert_eq!(shipped, covered, "fixture corpus out of sync with rules");
 }
 
 #[test]
 fn each_rule_fires_on_its_bad_fixture_and_nowhere_else() {
-    for &(rule, min_diags) in RULES {
-        let (rel, text) = fixture(rule, "bad");
+    for &(rule, stem, min_diags) in PAIRS {
+        let (rel, text) = fixture(rule, &format!("{stem}bad"));
         let diags = lint_source(&rel, &text);
         assert!(
             diags.len() >= min_diags,
-            "{rule}: expected >= {min_diags} findings, got {diags:?}"
+            "{rule}/{stem}bad.rs: expected >= {min_diags} findings, got {diags:?}"
         );
         for d in &diags {
             assert_eq!(
                 d.rule, rule,
-                "{rule}/bad.rs produced a foreign finding: {d}"
+                "{rule}/{stem}bad.rs produced a foreign finding: {d}"
             );
         }
     }
@@ -56,10 +59,10 @@ fn each_rule_fires_on_its_bad_fixture_and_nowhere_else() {
 
 #[test]
 fn good_fixtures_are_clean() {
-    for &(rule, _) in RULES {
-        let (rel, text) = fixture(rule, "good");
+    for &(rule, stem, _) in PAIRS {
+        let (rel, text) = fixture(rule, &format!("{stem}good"));
         let diags = lint_source(&rel, &text);
-        assert!(diags.is_empty(), "{rule}/good.rs flagged: {diags:?}");
+        assert!(diags.is_empty(), "{rule}/{stem}good.rs flagged: {diags:?}");
     }
 }
 
@@ -68,9 +71,9 @@ fn bad_fixtures_of_one_rule_are_invisible_to_all_others() {
     // Re-lint each bad fixture under every *other* rule's directory name:
     // the offending constructs sit outside that rule's scope, so nothing
     // (except engine-level escape hygiene) may fire.
-    for &(rule, _) in RULES {
-        let (_, text) = fixture(rule, "bad");
-        for &(other, _) in RULES {
+    for &(rule, stem, _) in PAIRS {
+        let (_, text) = fixture(rule, &format!("{stem}bad"));
+        for other in rule_names() {
             if other == rule || other == "hygiene" {
                 // Escape comments in a fixture still get engine-level
                 // hygiene treatment under any path; skip that pairing.
@@ -80,7 +83,7 @@ fn bad_fixtures_of_one_rule_are_invisible_to_all_others() {
             for d in lint_source(&rel, &text) {
                 assert!(
                     d.rule == other || d.rule == "hygiene",
-                    "{rule}/bad.rs transplanted into {other}/ fired {d}"
+                    "{rule}/{stem}bad.rs transplanted into {other}/ fired {d}"
                 );
             }
         }

@@ -593,9 +593,9 @@ pub struct FrontierNode {
 
 /// A completed-level snapshot of `par_dis_steal`: everything needed to
 /// resume a killed run and emit the exact same output as an uninterrupted
-/// one. The consistent cut is the level boundary — the wave at which the
-/// master has replayed every emission of the level and dropped
-/// below-frontier matches.
+/// one. The consistent cut is the level boundary — the point at which the
+/// driver has emitted every rule of the level and the executor has
+/// dropped below-frontier matches.
 #[derive(Clone, Debug, Default)]
 pub struct Checkpoint {
     /// Node count of the graph the snapshot was taken on.

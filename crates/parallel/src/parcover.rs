@@ -22,6 +22,7 @@
 use std::time::{Duration, Instant};
 
 use crossbeam::deque::{Injector, Steal};
+use gfd_core::removal_order;
 use gfd_graph::FxHashMap;
 use gfd_logic::{implies_refs, Gfd};
 use gfd_pattern::{canonical_code_unpivoted, is_embedded, CanonicalCode};
@@ -110,16 +111,9 @@ fn lpt_assign(groups: &[Group], n: usize) -> Vec<Vec<usize>> {
 fn process_group(sigma: &[Gfd], group: &Group) -> (Vec<usize>, u64) {
     let mut removed: Vec<usize> = Vec::new();
     let mut work = 0u64;
-    // Most specific members first (match SeqCover's preference).
+    // SeqCover's removal order, so both keep the same survivors.
     let mut order = group.members.clone();
-    order.sort_by_key(|&i| {
-        let g = &sigma[i];
-        std::cmp::Reverse((
-            g.pattern().edge_count(),
-            g.pattern().node_count(),
-            g.lhs().len(),
-        ))
-    });
+    removal_order(sigma, &mut order);
     loop {
         let mut changed = false;
         for &i in &order {

@@ -1,7 +1,10 @@
 //! `ParDis` — parallel GFD mining over fragmented graphs (§6.2).
 //!
-//! The master mirrors `SeqDis`'s levelwise schedule but delegates every
-//! data-touching step to the workers:
+//! `ParDis` is `SeqDis` with its data-touching steps delegated: the master
+//! runs `gfd-core`'s levelwise [`Driver`], the same schedule `seq_dis`
+//! runs, and this module's barrier executor turns each of its operations
+//! into broadcasts. [`par_dis_with_runtime`] swaps in the work-stealing
+//! executor ([`crate::steal`]) instead. On the barrier runtime:
 //!
 //! * **parallel pattern matching** — work units `(Q, e)` become
 //!   [`Task::Join`]s: each worker joins its local `Q(F_s)` with the
@@ -24,16 +27,15 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use gfd_core::{
-    mine_dependencies_with, proposals_from_harvest, propose_negative_extensions,
-    CandidateEvaluator, CandidateStats, CatalogCounts, DiscoveredGfd, DiscoveryConfig,
-    DiscoveryResult, GenTree, Inserted, LiteralCatalog, NodeState, PartialStats,
-    ProposalAccumulator,
+    mine_dependencies_with, CandidateEvaluator, CandidateStats, CatalogCounts, DiscoveryConfig,
+    DiscoveryResult, DiscoveryStats, Driver, Executor, GenTree, Joined, LiteralCatalog, MineJob,
+    MineOutcome, PartialStats, ProposalAccumulator, RawHarvest, Spawn,
 };
-use gfd_graph::{triple_stats, Graph, NodeId};
-use gfd_logic::{Gfd, Literal, Rhs};
-use gfd_pattern::{is_embedded, PLabel, Pattern};
+use gfd_graph::{AttrId, Graph, NodeId};
+use gfd_logic::{Literal, Rhs};
 
 use crate::cluster::{Cluster, ClusterConfig, Task, TaskResult};
+use crate::fault::FaultError;
 use crate::partition::edge_cut;
 
 /// Outcome of a parallel discovery run.
@@ -130,7 +132,7 @@ impl CandidateEvaluator for ClusterEvaluator<'_> {
 /// Which parallel schedule drives discovery.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Runtime {
-    /// The paper's master/worker superstep schedule over vertex-cut
+    /// The paper's master/worker superstep schedule over edge-cut
     /// fragments: one broadcast + barrier per candidate step
     /// ([`crate::cluster`]).
     Barrier,
@@ -170,7 +172,7 @@ pub fn par_dis_with_runtime(
     cfg: &DiscoveryConfig,
     ccfg: &ClusterConfig,
     runtime: Runtime,
-) -> Result<ParDisReport, crate::fault::FaultError> {
+) -> Result<ParDisReport, FaultError> {
     match runtime {
         Runtime::Barrier => par_dis(g, cfg, ccfg),
         Runtime::Steal => crate::steal::par_dis_steal(
@@ -187,194 +189,21 @@ pub fn par_dis(
     g: &Arc<Graph>,
     cfg: &DiscoveryConfig,
     ccfg: &ClusterConfig,
-) -> Result<ParDisReport, crate::fault::FaultError> {
+) -> Result<ParDisReport, FaultError> {
     let wall0 = Instant::now();
     let partition = edge_cut(g, ccfg.workers);
     let replication_factor = partition.replication_factor;
-    let mut cluster = Cluster::new(Arc::clone(g), partition.shards, ccfg);
-
-    let attrs = cfg.resolve_active_attrs(g);
-    let triples = triple_stats(g);
-    let mut tree = GenTree::new();
-    let mut result = DiscoveryResult::default();
-    let mut negative_patterns: Vec<Pattern> = Vec::new();
-
-    // Cold start: same roots as SeqDis, matches partitioned by node owner.
-    let mut roots: Vec<Pattern> = Vec::new();
-    for (label, count) in g.node_label_frequencies() {
-        if (count as usize) >= cfg.sigma || !cfg.enable_pruning {
-            roots.push(Pattern::single(PLabel::Is(label)));
-        }
-    }
-    if cfg.wildcard_min_labels > 0
-        && cfg.wildcard_root
-        && g.node_label_frequencies().len() >= cfg.wildcard_min_labels
-        && g.node_count() >= cfg.sigma
-    {
-        roots.push(Pattern::single(PLabel::Wildcard));
-    }
-    for q in roots {
-        let m0 = Instant::now();
-        let Inserted::Fresh(id) = tree.insert(q.clone(), None, None) else {
-            continue;
-        };
-        cluster.charge_master(m0.elapsed());
-        let results = cluster.broadcast(Task::SeedRoot {
-            node: id,
-            pattern: q,
-        })?;
-        let (rows, support, _) = merge_join_results(&mut cluster, results);
-        tree.node_mut(id).support = support;
-        let frequent = support >= cfg.sigma || !cfg.enable_pruning;
-        tree.node_mut(id).state = if frequent {
-            NodeState::Frequent
-        } else {
-            NodeState::Infrequent
-        };
-        if frequent && rows > 0 {
-            result.stats.patterns_verified += 1;
-            mine_node(&mut cluster, &mut tree, id, rows, &attrs, cfg, &mut result)?;
-        }
-    }
-
-    // Levelwise supersteps.
-    for level in 1..=cfg.level_cap() {
-        let parents: Vec<usize> = tree
-            .level(level - 1)
-            .iter()
-            .copied()
-            .filter(|&id| tree.node(id).state == NodeState::Frequent)
-            .collect();
-        if parents.is_empty() {
-            break;
-        }
-        let mut spawned_this_level = 0usize;
-
-        for pid in parents {
-            // Parallel harvest (VSpawn): per-fragment results fold through
-            // the same `ProposalAccumulator` merge path the work-stealing
-            // runtime uses per worker.
-            let harvest_results = cluster.broadcast(Task::Harvest {
-                node: pid,
-                cfg: cfg.clone(),
-            })?;
-            let m0 = Instant::now();
-            let mut acc = ProposalAccumulator::default();
-            let mut bytes = Vec::with_capacity(harvest_results.len());
-            for r in harvest_results {
-                if let TaskResult::Harvested(h) = r {
-                    bytes.push(h.byte_size());
-                    acc.fold(pid, *h);
-                }
-            }
-            let mut merged = acc.take(pid);
-            let proposals = proposals_from_harvest(&mut merged, cfg);
-            let negs = if cfg.mine_negative {
-                propose_negative_extensions(
-                    &tree.node(pid).pattern,
-                    g,
-                    &triples,
-                    &proposals.seen,
-                    cfg,
-                )
-            } else {
-                Vec::new()
-            };
-            cluster.charge_master(m0.elapsed());
-            cluster.charge_comm(&bytes);
-
-            for (ext, _count) in proposals.frequent {
-                if cfg.max_patterns_per_level > 0
-                    && spawned_this_level >= cfg.max_patterns_per_level
-                {
-                    break;
-                }
-                result.stats.patterns_spawned += 1;
-                let m0 = Instant::now();
-                let child_pattern = tree.node(pid).pattern.extend(&ext);
-                let inserted = tree.insert(child_pattern, Some(pid), Some(ext));
-                cluster.charge_master(m0.elapsed());
-                let Inserted::Fresh(cid) = inserted else {
-                    result.stats.patterns_deduped += 1;
-                    continue;
-                };
-                spawned_this_level += 1;
-
-                // Work unit (Q, e): distributed incremental join.
-                let join_results = cluster.broadcast(Task::Join {
-                    parent: pid,
-                    child: cid,
-                    ext,
-                })?;
-                let (rows, support, sizes) = merge_join_results(&mut cluster, join_results);
-
-                if rows == 0 {
-                    tree.node_mut(cid).state = NodeState::Empty;
-                    result.stats.patterns_empty += 1;
-                    if cfg.mine_negative && tree.node(pid).support >= cfg.sigma {
-                        emit_negative(&tree, cid, pid, &mut result, &mut negative_patterns);
-                    }
-                    continue;
-                }
-                tree.node_mut(cid).support = support;
-                let overflow =
-                    cfg.max_matches_per_pattern > 0 && rows > cfg.max_matches_per_pattern;
-                if overflow || (support < cfg.sigma && cfg.enable_pruning) {
-                    tree.node_mut(cid).state = NodeState::Infrequent;
-                    result.stats.patterns_infrequent += 1;
-                    cluster.broadcast(Task::DropNodes { nodes: vec![cid] })?;
-                    continue;
-                }
-                tree.node_mut(cid).state = NodeState::Frequent;
-                result.stats.patterns_verified += 1;
-
-                // Skew re-balancing (§6.2) — the DisGFD/ParGFDnb difference.
-                if ccfg.load_balance {
-                    rebalance_if_skewed(&mut cluster, &tree, cid, &sizes, ccfg)?;
-                }
-
-                // Inherit covered signatures, then mine.
-                let covered = tree.node(pid).covered.clone();
-                tree.node_mut(cid).covered = covered;
-                mine_node(&mut cluster, &mut tree, cid, rows, &attrs, cfg, &mut result)?;
-            }
-
-            // NVSpawn: guaranteed-zero-support extensions.
-            for ext in negs {
-                result.stats.patterns_spawned += 1;
-                let m0 = Instant::now();
-                let child_pattern = tree.node(pid).pattern.extend(&ext);
-                let inserted = tree.insert(child_pattern, Some(pid), Some(ext));
-                cluster.charge_master(m0.elapsed());
-                match inserted {
-                    Inserted::Existing(_) => result.stats.patterns_deduped += 1,
-                    Inserted::Fresh(cid) => {
-                        tree.node_mut(cid).state = NodeState::Empty;
-                        result.stats.patterns_empty += 1;
-                        emit_negative(&tree, cid, pid, &mut result, &mut negative_patterns);
-                    }
-                }
-            }
-        }
-
-        // Reclaim matches below the new frontier.
-        let stale: Vec<usize> = tree
-            .nodes()
-            .iter()
-            .filter(|n| n.level < level)
-            .map(|n| n.id)
-            .collect();
-        cluster.broadcast(Task::DropNodes { nodes: stale })?;
-    }
-
+    let mut exec = Broadcasts {
+        cluster: Cluster::new(Arc::clone(g), partition.shards, ccfg),
+        cfg,
+        ccfg,
+        attrs: cfg.resolve_active_attrs(g),
+    };
+    let mut result = Driver::new(g, cfg).run(&mut exec, 0)?;
+    let cluster = exec.cluster;
     cluster.fstats.apply_to(&mut result.stats);
-    result.stats.positive = result.positive_count();
-    result.stats.negative = result.negative_count();
     let wall = wall0.elapsed();
     result.stats.total_time = wall;
-    result.stats.peak_rss_bytes = gfd_core::peak_rss_bytes();
-    result.stats.graph_bytes = g.build_stats().graph_bytes;
-    result.stats.graph_reallocs = g.build_stats().builder_reallocs;
     Ok(ParDisReport {
         result,
         wall,
@@ -385,6 +214,125 @@ pub fn par_dis(
         work_busy: cluster.clocks.work_busy,
         replication_factor,
     })
+}
+
+/// The barrier executor: each operation is a broadcast per pattern (or
+/// per lattice candidate), merged at the master. Matches live on the
+/// workers, partitioned by node owner.
+struct Broadcasts<'a> {
+    cluster: Cluster,
+    cfg: &'a DiscoveryConfig,
+    ccfg: &'a ClusterConfig,
+    attrs: Vec<AttrId>,
+}
+
+impl Executor for Broadcasts<'_> {
+    type Error = FaultError;
+
+    fn seed_roots(
+        &mut self,
+        tree: &GenTree,
+        roots: &[usize],
+        keep: &mut dyn FnMut(Joined) -> bool,
+    ) -> Result<(), FaultError> {
+        for &id in roots {
+            let results = self.cluster.broadcast(Task::SeedRoot {
+                node: id,
+                pattern: tree.node(id).pattern.clone(),
+            })?;
+            let (rows, support, _) = merge_join_results(&mut self.cluster, results);
+            keep(Joined { rows, support });
+        }
+        Ok(())
+    }
+
+    fn harvest(
+        &mut self,
+        _tree: &GenTree,
+        parent: usize,
+        _stats: &mut DiscoveryStats,
+    ) -> Result<RawHarvest, FaultError> {
+        // Per-fragment results fold through the same `ProposalAccumulator`
+        // merge path the work-stealing runtime uses per worker.
+        let results = self.cluster.broadcast(Task::Harvest {
+            node: parent,
+            cfg: self.cfg.clone(),
+        })?;
+        let m0 = Instant::now();
+        let mut acc = ProposalAccumulator::default();
+        let mut bytes = Vec::with_capacity(results.len());
+        for r in results {
+            if let TaskResult::Harvested(h) = r {
+                bytes.push(h.byte_size());
+                acc.fold(parent, *h);
+            }
+        }
+        self.cluster.charge_master(m0.elapsed());
+        self.cluster.charge_comm(&bytes);
+        Ok(acc.take(parent))
+    }
+
+    fn join(
+        &mut self,
+        tree: &GenTree,
+        spawns: &[Spawn],
+        _stats: &mut DiscoveryStats,
+        keep: &mut dyn FnMut(Joined) -> bool,
+    ) -> Result<(), FaultError> {
+        for s in spawns {
+            // Work unit (Q, e): distributed incremental join.
+            let results = self.cluster.broadcast(Task::Join {
+                parent: s.parent,
+                child: s.child,
+                ext: s.ext,
+            })?;
+            let (rows, support, sizes) = merge_join_results(&mut self.cluster, results);
+            if keep(Joined { rows, support }) {
+                // Skew re-balancing (§6.2) — the DisGFD/ParGFDnb difference.
+                if self.ccfg.load_balance {
+                    rebalance_if_skewed(&mut self.cluster, tree, s.child, &sizes, self.ccfg)?;
+                }
+            } else if rows > 0 {
+                self.cluster.broadcast(Task::DropNodes {
+                    nodes: vec![s.child],
+                })?;
+            }
+        }
+        Ok(())
+    }
+
+    fn mine(
+        &mut self,
+        _tree: &GenTree,
+        jobs: Vec<MineJob>,
+        _harvest_next: bool,
+        _stats: &mut DiscoveryStats,
+    ) -> Result<Vec<MineOutcome>, FaultError> {
+        jobs.into_iter()
+            .map(|job| mine_node(&mut self.cluster, job, &self.attrs, self.cfg))
+            .collect()
+    }
+
+    fn level_done(&mut self, driver: &Driver<'_>, level: usize) -> Result<(), FaultError> {
+        // Nothing sits below the roots.
+        if level == 0 {
+            return Ok(());
+        }
+        // Reclaim matches below the new frontier.
+        let stale: Vec<usize> = driver
+            .tree
+            .nodes()
+            .iter()
+            .filter(|n| n.level < level)
+            .map(|n| n.id)
+            .collect();
+        self.cluster.broadcast(Task::DropNodes { nodes: stale })?;
+        Ok(())
+    }
+
+    fn charge_master(&mut self, elapsed: Duration) {
+        self.cluster.charge_master(elapsed);
+    }
 }
 
 /// Merges join results: total rows, exact support (pivot-set union), local
@@ -423,7 +371,7 @@ fn rebalance_if_skewed(
     cid: usize,
     sizes: &[usize],
     ccfg: &ClusterConfig,
-) -> Result<(), crate::fault::FaultError> {
+) -> Result<(), FaultError> {
     let total: usize = sizes.iter().sum();
     let n = sizes.len();
     if total == 0 || n < 2 {
@@ -459,19 +407,15 @@ fn rebalance_if_skewed(
 }
 
 /// Parallel horizontal spawning on one verified pattern.
-#[allow(clippy::too_many_arguments)]
 fn mine_node(
     cluster: &mut Cluster,
-    tree: &mut GenTree,
-    id: usize,
-    rows: usize,
-    attrs: &[gfd_graph::AttrId],
+    job: MineJob,
+    attrs: &[AttrId],
     cfg: &DiscoveryConfig,
-    result: &mut DiscoveryResult,
-) -> Result<(), crate::fault::FaultError> {
+) -> Result<MineOutcome, FaultError> {
     // Build fragment tables, merge literal-candidate counts.
     let count_results = cluster.broadcast(Task::BuildTable {
-        node: id,
+        node: job.node,
         attrs: attrs.to_vec(),
     })?;
     let m0 = Instant::now();
@@ -486,64 +430,27 @@ fn mine_node(
     // Same min-rows floor as SeqDis (`σ.min(total match rows)`).
     let catalog: LiteralCatalog = counts.finalize_capped(
         cfg.values_per_attr,
-        cfg.sigma.min(rows.max(1)),
+        cfg.sigma.min(job.rows.max(1)),
         cfg.max_catalog_literals,
     );
     cluster.charge_master(m0.elapsed());
     cluster.charge_comm(&bytes);
 
-    let pattern = tree.node(id).pattern.clone();
-    let level = pattern.edge_count();
-    let mut covered = std::mem::take(&mut tree.node_mut(id).covered);
+    let mut covered = job.covered;
     let (deps, hstats) = {
-        let mut eval = ClusterEvaluator::new(cluster, id);
+        let mut eval = ClusterEvaluator::new(cluster, job.node);
         mine_dependencies_with(&mut eval, &catalog, &mut covered, cfg)
     };
     // The evaluator swallows barrier errors (the trait cannot carry
-    // them); surface the sticky failure before emitting a partial
+    // them); surface the sticky failure before returning a partial
     // outcome.
     cluster.check()?;
-    tree.node_mut(id).covered = covered;
-    result.stats.hspawn.merge(&hstats);
-    for dep in deps {
-        let confidence = dep.confidence();
-        result.gfds.push(DiscoveredGfd {
-            gfd: Gfd::new(pattern.clone(), dep.lhs, dep.rhs),
-            support: dep.support,
-            level,
-            confidence,
-        });
-    }
-    cluster.broadcast(Task::DropTable { node: id })?;
-    Ok(())
-}
-
-/// Emits `Q'(∅ → false)` unless a smaller emitted negative embeds into it.
-/// Shared with the work-stealing driver, whose emission replay must use the
-/// identical minimality filter in the identical order.
-pub(crate) fn emit_negative(
-    tree: &GenTree,
-    cid: usize,
-    pid: usize,
-    result: &mut DiscoveryResult,
-    negative_patterns: &mut Vec<Pattern>,
-) {
-    let pattern = tree.node(cid).pattern.clone();
-    if negative_patterns
-        .iter()
-        .any(|prev| is_embedded(prev, &pattern))
-    {
-        return;
-    }
-    let support = tree.node(pid).support;
-    let level = pattern.edge_count();
-    negative_patterns.push(pattern.clone());
-    result.gfds.push(DiscoveredGfd {
-        gfd: Gfd::new(pattern, vec![], Rhs::False),
-        support,
-        level,
-        confidence: 1.0,
-    });
+    cluster.broadcast(Task::DropTable { node: job.node })?;
+    Ok(MineOutcome {
+        deps,
+        covered,
+        hstats,
+    })
 }
 
 #[cfg(test)]

@@ -1,122 +1,14 @@
-//! Vertex-cut graph partitioning (§6.1).
+//! Graph partitioning (§6.1) and work-unit ranges.
 //!
-//! `DisGFD` evenly partitions the **edges** of `G` into `n` fragments via
-//! vertex cut \[31\]; nodes incident to edges in several fragments are
-//! replicated. We use the classic greedy heuristic (as in PowerGraph):
-//! edges are placed on the fragment that minimises new replicas first and
-//! load second, which keeps fragments balanced and bounds the replication
-//! factor on skewed graphs — the property the paper's load-balancing
-//! argument relies on.
+//! The paper's `DisGFD` fragments `G` by vertex cut \[31\]. The barrier
+//! runtime runs on an **edge cut** instead ([`edge_cut`]): every node has
+//! exactly one owner shard, so fragment match sets never overlap and
+//! supports are exact unions, and the edges between two shards are kept
+//! in boundary tables on both sides. Contiguous node ranges are balanced
+//! by degree. The work-stealing runtime does not fragment the graph at
+//! all; it cuts row spaces into even ranges ([`split_ranges`]).
 
-use gfd_graph::{Edge, EdgeId, FxHashMap, Graph, LabelId, NodeId};
-
-/// One fragment `F_s` of a vertex-cut partition.
-#[derive(Clone, Debug)]
-pub struct Fragment {
-    /// Fragment id (worker id).
-    pub id: usize,
-    /// Edges owned by this fragment, with **global** node ids.
-    pub edges: Vec<Edge>,
-    /// Original edge ids (aligned with `edges`).
-    pub edge_ids: Vec<EdgeId>,
-    /// Nodes incident to an owned edge (sorted, deduplicated).
-    pub nodes: Vec<NodeId>,
-    /// Owned edge count per edge label (communication model: the shipped
-    /// `e(F_t)` lists are everything outside this fragment).
-    pub label_counts: FxHashMap<LabelId, usize>,
-}
-
-impl Fragment {
-    /// Number of owned edges.
-    pub fn edge_count(&self) -> usize {
-        self.edges.len()
-    }
-
-    /// Owned edges with label `l`.
-    pub fn edges_with_label(&self, l: LabelId) -> usize {
-        self.label_counts.get(&l).copied().unwrap_or(0)
-    }
-}
-
-/// Result of partitioning: fragments plus replication statistics.
-#[derive(Clone, Debug)]
-pub struct Partition {
-    /// The `n` fragments.
-    pub fragments: Vec<Fragment>,
-    /// Average number of fragments holding a copy of a node.
-    pub replication_factor: f64,
-}
-
-/// Greedy balanced vertex-cut into `n` fragments.
-///
-/// Deterministic: edges are processed in id order; ties break toward the
-/// least-loaded, lowest-numbered fragment.
-pub fn vertex_cut(g: &Graph, n: usize) -> Partition {
-    assert!(n > 0, "at least one fragment required");
-    assert!(n <= 64, "fragment mask is 64-bit");
-    let mut placement: Vec<u64> = vec![0; g.node_count()]; // node → fragment bitmask
-    let mut loads: Vec<usize> = vec![0; n];
-    let mut owner: Vec<usize> = Vec::with_capacity(g.edge_count());
-
-    // Hard per-fragment capacity (2% slack over perfect balance): without
-    // it, replica-first greedy degenerates to one fragment on path-like
-    // graphs.
-    let base = g.edge_count().div_ceil(n.max(1)).max(1);
-    let cap = base + (base / 50).max(1);
-
-    for e in g.edges() {
-        let (ms, md) = (placement[e.src.index()], placement[e.dst.index()]);
-        let mut best = 0usize;
-        let mut best_key = (true, usize::MAX, usize::MAX);
-        for (f, &load) in loads.iter().enumerate() {
-            let bit = 1u64 << f;
-            let new_replicas = usize::from(ms & bit == 0) + usize::from(md & bit == 0);
-            let key = (load >= cap, new_replicas, load);
-            if key < best_key {
-                best_key = key;
-                best = f;
-            }
-        }
-        let bit = 1u64 << best;
-        placement[e.src.index()] |= bit;
-        placement[e.dst.index()] |= bit;
-        loads[best] += 1;
-        owner.push(best);
-    }
-
-    let mut fragments: Vec<Fragment> = (0..n)
-        .map(|id| Fragment {
-            id,
-            edges: Vec::with_capacity(loads[id]),
-            edge_ids: Vec::with_capacity(loads[id]),
-            nodes: Vec::new(),
-            label_counts: FxHashMap::default(),
-        })
-        .collect();
-    for (i, e) in g.edges().iter().enumerate() {
-        let f = &mut fragments[owner[i]];
-        f.edges.push(*e);
-        f.edge_ids.push(EdgeId::from_index(i));
-        *f.label_counts.entry(e.label).or_insert(0) += 1;
-    }
-    for f in &mut fragments {
-        let mut nodes: Vec<NodeId> = f.edges.iter().flat_map(|e| [e.src, e.dst]).collect();
-        nodes.sort_unstable();
-        nodes.dedup();
-        f.nodes = nodes;
-    }
-
-    let replicas: usize = placement.iter().map(|m| m.count_ones() as usize).sum();
-    let touched = placement.iter().filter(|m| **m != 0).count();
-    Partition {
-        fragments,
-        replication_factor: if touched == 0 {
-            1.0
-        } else {
-            replicas as f64 / touched as f64
-        },
-    }
-}
+use gfd_graph::{EdgeId, FxHashMap, Graph, LabelId, NodeId};
 
 /// Splits `len` rows into contiguous, nearly equal `(lo, hi)` ranges: at
 /// most `max_parts` ranges, each at least `min_chunk` rows (except that a
@@ -125,9 +17,9 @@ pub fn vertex_cut(g: &Graph, n: usize) -> Partition {
 ///
 /// This is the static half of load balancing in the work-stealing runtime:
 /// ranges are even *by construction* (the barrier runtime's fragments are
-/// not — they follow the vertex cut, and skew triggers Take/Put re-splits),
-/// and any residual imbalance from unequal per-row cost is absorbed by
-/// dynamic stealing instead of a re-balancing barrier.
+/// not — they follow the edge cut's node ranges, and skew triggers
+/// Take/Put re-splits), and any residual imbalance from unequal per-row
+/// cost is absorbed by dynamic stealing instead of a re-balancing barrier.
 pub fn split_ranges(len: usize, min_chunk: usize, max_parts: usize) -> Vec<(usize, usize)> {
     if len == 0 {
         return Vec::new();
@@ -156,10 +48,9 @@ pub fn node_owner(v: NodeId, n: usize) -> usize {
 
 /// One shard `F_s` of an edge-cut partition.
 ///
-/// Unlike the vertex cut above (which replicates nodes and assigns every
-/// edge to exactly one fragment), an edge cut assigns every **node** to
-/// exactly one shard — shards are disjoint and their union is `V` — and
-/// the edges whose endpoints land in two different shards are *cut*:
+/// An edge cut assigns every **node** to exactly one shard — shards are
+/// disjoint and their union is `V` — and the edges whose endpoints land
+/// in two different shards are *cut*:
 /// recorded in explicit boundary tables on both sides, they are the only
 /// traffic the shards exchange during joins. This is the fragment model
 /// Fan et al.'s workers actually assume (each holds a disjoint `F_s` and
@@ -228,8 +119,8 @@ pub struct EdgeCutPartition {
     /// Distinct cut edges (each appears in exactly one `cut_out` and one
     /// `cut_in`).
     pub cut_edges: usize,
-    /// Average copies per node, `(owned + ghosts) / |V|` — the edge-cut
-    /// analogue of the vertex cut's replication factor.
+    /// Average copies per node, `(owned + ghosts) / |V|`: the edge-cut
+    /// replication factor.
     pub replication_factor: f64,
 }
 
@@ -340,90 +231,6 @@ mod tests {
             b.add_edge(w[0], w[1], "r");
         }
         b.build()
-    }
-
-    #[test]
-    fn every_edge_in_exactly_one_fragment() {
-        let g = chain(100);
-        let p = vertex_cut(&g, 4);
-        let total: usize = p.fragments.iter().map(|f| f.edge_count()).sum();
-        assert_eq!(total, g.edge_count());
-        let mut seen = vec![false; g.edge_count()];
-        for f in &p.fragments {
-            for &eid in &f.edge_ids {
-                assert!(!seen[eid.index()], "edge {eid:?} owned twice");
-                seen[eid.index()] = true;
-            }
-        }
-        assert!(seen.iter().all(|&s| s));
-    }
-
-    #[test]
-    fn loads_are_balanced() {
-        let g = chain(1000);
-        let p = vertex_cut(&g, 5);
-        let loads: Vec<usize> = p.fragments.iter().map(|f| f.edge_count()).collect();
-        let base = g.edge_count().div_ceil(5);
-        let cap = base + (base / 50).max(1);
-        assert!(loads.iter().all(|&l| l > 0), "loads: {loads:?}");
-        assert!(loads.iter().all(|&l| l <= cap), "loads: {loads:?}");
-    }
-
-    #[test]
-    fn star_graph_replicates_center() {
-        // High-degree hub: the hub must appear in several fragments.
-        let mut b = GraphBuilder::new();
-        let hub = b.add_node("hub");
-        for _ in 0..100 {
-            let leaf = b.add_node("leaf");
-            b.add_edge(hub, leaf, "r");
-        }
-        let g = b.build();
-        let p = vertex_cut(&g, 4);
-        let holding = p
-            .fragments
-            .iter()
-            .filter(|f| f.nodes.binary_search(&hub).is_ok())
-            .count();
-        assert_eq!(holding, 4);
-        assert!(p.replication_factor > 1.0);
-        // Leaves are not replicated.
-        let leaf_replicas: usize = p
-            .fragments
-            .iter()
-            .map(|f| f.nodes.iter().filter(|n| **n != hub).count())
-            .sum();
-        assert_eq!(leaf_replicas, 100);
-    }
-
-    #[test]
-    fn label_counts_sum() {
-        let mut b = GraphBuilder::new();
-        let x = b.add_node("a");
-        let y = b.add_node("a");
-        for _ in 0..10 {
-            b.add_edge(x, y, "r");
-        }
-        for _ in 0..6 {
-            b.add_edge(y, x, "s");
-        }
-        let g = b.build();
-        let p = vertex_cut(&g, 3);
-        let r = g.interner().lookup_label("r").unwrap();
-        let s = g.interner().lookup_label("s").unwrap();
-        let rs: usize = p.fragments.iter().map(|f| f.edges_with_label(r)).sum();
-        let ss: usize = p.fragments.iter().map(|f| f.edges_with_label(s)).sum();
-        assert_eq!(rs, 10);
-        assert_eq!(ss, 6);
-    }
-
-    #[test]
-    fn single_fragment_degenerate() {
-        let g = chain(10);
-        let p = vertex_cut(&g, 1);
-        assert_eq!(p.fragments.len(), 1);
-        assert_eq!(p.fragments[0].edge_count(), 9);
-        assert!((p.replication_factor - 1.0).abs() < 1e-9);
     }
 
     #[test]

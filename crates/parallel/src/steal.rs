@@ -12,9 +12,10 @@
 //! * **Work units, not fragments.** A unit is a contiguous *range* — of
 //!   pivot candidates ([`Unit::Seed`]), of parent match rows
 //!   ([`Unit::Harvest`], [`Unit::Join`]), of a pattern's table rows
-//!   ([`Unit::BuildRange`], [`Unit::Evaluate`], [`Unit::LhsEmpty`]) — or a
-//!   whole small lattice ([`Unit::Mine`]). Ranges are even by construction
-//!   ([`crate::partition::split_ranges`]); there is no skew to re-balance.
+//!   ([`Unit::BuildRange`], [`Unit::Evaluate`], [`Unit::LhsEmpty`]) — or
+//!   one consequence of a small lattice ([`Unit::MineRhs`]). Ranges are
+//!   even by construction ([`crate::partition::split_ranges`]); there is
+//!   no skew to re-balance.
 //! * **Stealing, not barriers.** The master pushes a *wave* of units onto
 //!   per-worker injector deques (`crossbeam::deque`) with range affinity;
 //!   workers drain their own deque first and steal from siblings when
@@ -37,12 +38,15 @@
 //!   reproducible without threads. The `work_makespan` schedule is computed
 //!   from modelled costs in both modes and is therefore deterministic.
 //!
-//! The drivers ([`par_dis_steal`], [`crate::parcover`]'s steal path) keep
-//! the master's levelwise bookkeeping bit-for-bit identical to `SeqDis`:
-//! results are merged in unit order, emissions replayed in `SeqDis`'s exact
-//! order, so the mined [`DiscoveryResult`] — rules, supports, statistics —
-//! matches the sequential algorithm's, and two runs on the same input are
-//! identical regardless of thread interleaving.
+//! [`par_dis_steal`] is one of three executors of `gfd-core`'s levelwise
+//! [`Driver`]: the driver makes every schedule decision and emits every
+//! rule, and this executor only turns its operations into waves — the
+//! roots' seed wave, each level's join wave, and each level's build and
+//! `MineRhs` waves (the build wave also harvests the next level). Unit
+//! results merge in unit order, so the mined `DiscoveryResult` — rules,
+//! supports, statistics — matches the sequential algorithm's, and two runs
+//! on the same input are identical regardless of thread interleaving.
+//! [`crate::parcover`]'s steal path uses the same pool.
 //!
 //! **Fault tolerance.** Determinism makes recovery output-invariant, so the
 //! pool absorbs partial failure ([`crate::fault`]): worker bodies run each
@@ -65,14 +69,14 @@ use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use crossbeam::deque::{Injector, Steal};
 use gfd_core::{
     finish_negatives, harvest_range_cached, merge_rhs_outcome, mine_dependencies_with,
-    mine_rhs_with, proposals_from_harvest, propose_negative_extensions, BitmapIndex,
-    CandidateEvaluator, CandidateStats, CatalogCounts, Covered, DiscoveredGfd, DiscoveryConfig,
-    DiscoveryResult, GenTree, HSpawnStats, Inserted, LiteralCatalog, MatchTable, MinedDependency,
-    NodeState, PartialStats, ProposalAccumulator, RhsMineOutcome, SignatureCache,
+    mine_rhs_with, BitmapIndex, CandidateEvaluator, CandidateStats, CatalogCounts, Covered,
+    DiscoveryConfig, DiscoveryStats, Driver, Executor, GenTree, HSpawnStats, Joined,
+    LiteralCatalog, MatchTable, MineJob, MineOutcome, MinedDependency, PartialStats,
+    ProposalAccumulator, RawHarvest, RhsMineOutcome, SignatureCache, Spawn,
 };
-use gfd_graph::{triple_stats, AttrId, FxHashMap, Graph, NodeId};
+use gfd_graph::{AttrId, FxHashMap, Graph, NodeId};
 use gfd_logic::ClosureScratch;
-use gfd_logic::{Gfd, Literal, Rhs};
+use gfd_logic::{Literal, Rhs};
 use gfd_pattern::{
     extend_matches_range, CompiledPattern, Extension, MatchSet, MatcherScratch, PLabel, Pattern,
 };
@@ -83,7 +87,7 @@ use crate::cluster::{Clocks, ExecMode};
 use crate::fault::{
     self, Checkpoint, FaultConfig, FaultError, FaultPlan, FaultStats, FrontierNode, UnitFault,
 };
-use crate::pardis::{emit_negative, ParDisReport};
+use crate::pardis::ParDisReport;
 use crate::partition::split_ranges;
 
 /// Default for [`StealConfig::range_oversplit`] — how many ranges to cut
@@ -115,7 +119,7 @@ pub struct StealConfig {
     pub range_min_rows: usize,
     /// Tables with at least this many rows run their lattice through
     /// `(rule, pivot-range)` units ([`Unit::Evaluate`]); smaller lattices
-    /// run as a single [`Unit::Mine`] on one worker, which avoids
+    /// run as one [`Unit::MineRhs`] per consequence, which avoids
     /// per-candidate scheduling for the long tail of small patterns.
     pub range_rows_threshold: usize,
     /// Ranges cut per row space, as a multiple of the worker count.
@@ -371,19 +375,6 @@ pub enum Unit {
         /// Discovery configuration.
         cfg: Arc<DiscoveryConfig>,
     },
-}
-
-/// One pattern's assembled lattice outcome (merged from its per-`l` units
-/// by the master, or produced by the range-evaluator path).
-#[derive(Debug)]
-pub struct MineOutcome {
-    /// Mined dependencies, in `mine_dependencies` order.
-    pub deps: Vec<MinedDependency>,
-    /// The inherited covered set extended with this pattern's satisfied
-    /// signatures (passed down to children).
-    pub covered: Vec<Covered>,
-    /// Lattice counters.
-    pub hstats: HSpawnStats,
 }
 
 /// Result of one [`Unit`].
@@ -970,7 +961,7 @@ impl StealPool {
 
         // Determinism audit: under perturbation, force a seeded unit
         // reordering at this wave boundary. Results land by unit index and
-        // emissions replay in SeqDis order, so the mined output must not
+        // the driver emits in spawn order, so the mined output must not
         // change; the greedy cost schedule below iterates unit order, so
         // `work_makespan` must not change either.
         let mut wave_rng = self
@@ -1442,420 +1433,45 @@ impl CandidateEvaluator for PoolEvaluator<'_> {
 }
 
 // ---------------------------------------------------------------------------
-// The ParDis driver on the pool.
+// The ParDis executor on the pool.
 // ---------------------------------------------------------------------------
 
-/// A pattern queued for lattice mining.
-struct MineJob {
-    id: usize,
-    q: Arc<Pattern>,
-    ms: Arc<MatchSet>,
-    covered: Vec<Covered>,
-}
-
-/// What a verified-or-not positive spawn turned into.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Verdict {
-    Pending,
-    /// Frequent: a mined lattice outcome exists for this node.
-    Mined,
-    /// Zero matches; emit `Q'(∅ → false)` during replay.
-    EmptyEmit,
-    /// Zero matches / infrequent / overflow with nothing to emit.
-    Quiet,
-}
-
-/// One spawn event, in `SeqDis` order.
-enum Event {
-    /// A fresh positive extension: join units `[joff, joff + jcnt)`.
-    Pos {
-        pid: usize,
-        cid: usize,
-        joff: usize,
-        jcnt: usize,
-        verdict: Verdict,
-    },
-    /// A fresh `NVSpawn` (guaranteed-empty) extension.
-    Neg { pid: usize, cid: usize },
-}
-
-/// Runs parallel discovery on the work-stealing pool. The master replays
-/// `SeqDis`'s exact schedule — insertions, verdicts, and emissions in the
-/// same order — so the returned [`DiscoveryResult`] is identical to
-/// [`gfd_core::seq_dis`]'s (rules, supports, and counters; only timings
-/// differ), for every worker count and both execution modes — including
-/// runs recovering from injected faults, and runs resumed from a wave
-/// checkpoint (`StealConfig::checkpoint` / `resume`).
+/// Runs parallel discovery on the work-stealing pool. [`Driver`] owns the
+/// schedule and this module's executor runs its operations as waves, so
+/// the returned `DiscoveryResult` is identical to [`gfd_core::seq_dis`]'s
+/// (rules, supports, and counters; only timings differ), for every worker
+/// count and both execution modes — including runs recovering from
+/// injected faults, and runs resumed from a level checkpoint
+/// (`StealConfig::checkpoint` / `resume`).
 pub fn par_dis_steal(
     g: &Arc<Graph>,
     cfg: &DiscoveryConfig,
     scfg: &StealConfig,
 ) -> Result<ParDisReport, FaultError> {
     let wall0 = Instant::now();
-    let mut pool = StealPool::new(Arc::clone(g), scfg);
-    let attrs = Arc::new(cfg.resolve_active_attrs(g));
-    let cfg_arc = Arc::new(cfg.clone());
-    let triples = triple_stats(g);
-    let mut tree = GenTree::new();
-    let mut result = DiscoveryResult::default();
-    let mut negative_patterns: Vec<Pattern> = Vec::new();
-    // Live matches per frequent node (the master's copy; workers see them
-    // through per-unit `Arc`s, never a broadcast).
-    let mut live: FxHashMap<usize, Arc<MatchSet>> = FxHashMap::default();
-    let max_parts = scfg.workers * scfg.range_oversplit;
-    let cfg_fp = fault::config_fingerprint(cfg);
-
-    let resumed: Option<Checkpoint> = if scfg.resume {
-        match &scfg.checkpoint {
-            Some(path) => Checkpoint::load_if_exists(path)?,
-            None => None,
-        }
-    } else {
-        None
+    let mut exec = Waves {
+        pool: StealPool::new(Arc::clone(g), scfg),
+        g,
+        cfg: Arc::new(cfg.clone()),
+        scfg,
+        attrs: Arc::new(cfg.resolve_active_attrs(g)),
+        live: FxHashMap::default(),
+        pending: ProposalAccumulator::default(),
+        unharvested: Vec::new(),
+        cfg_fp: fault::config_fingerprint(cfg),
     };
-
-    let mut pending = ProposalAccumulator::default();
-    let start_level: usize;
-    if let Some(ck) = resumed {
-        // --- Warm start: restore the frontier of the last completed
-        // level and continue exactly where the killed run left off. ---
-        ck.validate(g.node_count(), g.edge_count(), cfg_fp)?;
-        ck.restore_stats(&mut result.stats);
-        result.gfds = ck.rules;
-        negative_patterns = ck.negative_patterns;
-        let frontier_level = ck.level;
-        start_level = ck.level + 1;
-        for fnode in ck.frontier {
-            // Fresh by construction: frontier patterns are pairwise
-            // non-isomorphic (they were distinct generation-tree nodes).
-            if let Inserted::Fresh(id) = tree.insert(fnode.pattern, None, None) {
-                let node = tree.node_mut(id);
-                node.state = NodeState::Frequent;
-                node.support = fnode.support;
-                node.covered = fnode.covered;
-                live.insert(id, Arc::new(fnode.matches));
-            }
+    let mut driver = Driver::new(g, cfg);
+    let mut from_level = 0;
+    if let (true, Some(path)) = (scfg.resume, &scfg.checkpoint) {
+        if let Some(ck) = Checkpoint::load_if_exists(path)? {
+            from_level = exec.restore(&mut driver, ck)?;
         }
-        // Rebuild the frontier's harvests — on the cold path they ride
-        // the mining wave that died with the original run. The fold is a
-        // monoid merge, so the accumulator is worker-count independent.
-        if start_level <= cfg.level_cap() {
-            let mut units: Vec<Unit> = Vec::new();
-            for &id in tree.level(frontier_level) {
-                let Some(ms) = live.get(&id) else { continue };
-                let q = Arc::new(tree.node(id).pattern.clone());
-                for &(lo, hi) in &split_ranges(ms.len(), scfg.range_min_rows, max_parts) {
-                    units.push(Unit::Harvest {
-                        node: id,
-                        q: Arc::clone(&q),
-                        ms: Arc::clone(ms),
-                        cfg: Arc::clone(&cfg_arc),
-                        lo,
-                        hi,
-                    });
-                }
-            }
-            pool.run_wave(units)?;
-            pending = pool.drain_accumulators();
-        }
-    } else {
-        // --- Cold start: seed roots over pivot ranges. ---
-        let mut roots: Vec<Pattern> = Vec::new();
-        for (label, count) in g.node_label_frequencies() {
-            if (count as usize) >= cfg.sigma || !cfg.enable_pruning {
-                roots.push(Pattern::single(PLabel::Is(label)));
-            }
-        }
-        if cfg.wildcard_min_labels > 0
-            && cfg.wildcard_root
-            && g.node_label_frequencies().len() >= cfg.wildcard_min_labels
-            && g.node_count() >= cfg.sigma
-        {
-            roots.push(Pattern::single(PLabel::Wildcard));
-        }
-
-        let m0 = Instant::now();
-        let mut seed_units: Vec<Unit> = Vec::new();
-        let mut root_jobs: Vec<(usize, usize, usize)> = Vec::new(); // (id, off, cnt)
-        for q in roots {
-            let Inserted::Fresh(id) = tree.insert(q.clone(), None, None) else {
-                continue;
-            };
-            let pivots: Arc<Vec<NodeId>> = Arc::new(match q.node_label(0) {
-                PLabel::Is(l) => g.nodes_with_label(l).to_vec(),
-                PLabel::Wildcard => g.nodes().collect(),
-            });
-            let cp = Arc::new(CompiledPattern::new(&q));
-            let ranges = split_ranges(pivots.len(), scfg.range_min_rows, max_parts);
-            let off = seed_units.len();
-            for &(lo, hi) in &ranges {
-                seed_units.push(Unit::Seed {
-                    cp: Arc::clone(&cp),
-                    pivots: Arc::clone(&pivots),
-                    lo,
-                    hi,
-                });
-            }
-            root_jobs.push((id, off, ranges.len()));
-        }
-        pool.charge_master(m0.elapsed());
-        let seeded = pool.run_wave(seed_units)?;
-
-        let mut mine_jobs: Vec<MineJob> = Vec::new();
-        let mut frequent_roots: Vec<usize> = Vec::new();
-        for &(id, off, cnt) in &root_jobs {
-            let mut ms = MatchSet::new(1);
-            for r in &seeded[off..off + cnt] {
-                if let UnitResult::Seeded(part) = r {
-                    ms.extend(part);
-                }
-            }
-            let support = ms.len();
-            tree.node_mut(id).support = support;
-            let frequent = support >= cfg.sigma || !cfg.enable_pruning;
-            tree.node_mut(id).state = if frequent {
-                NodeState::Frequent
-            } else {
-                NodeState::Infrequent
-            };
-            if frequent {
-                result.stats.patterns_verified += 1;
-                let ms = Arc::new(ms);
-                live.insert(id, Arc::clone(&ms));
-                mine_jobs.push(MineJob {
-                    id,
-                    q: Arc::new(tree.node(id).pattern.clone()),
-                    ms,
-                    covered: Vec::new(),
-                });
-                frequent_roots.push(id);
-            }
-        }
-        // Harvests for the next level ride the mining wave: `run_mining`
-        // returns the per-worker accumulators already merged down to one.
-        // Roots are always below the level cap (level_cap() ≥ 1), so their
-        // harvests are always wanted.
-        let (mut outcomes, cold_pending) =
-            run_mining(&mut pool, mine_jobs, &attrs, &cfg_arc, scfg, true)?;
-        pending = cold_pending;
-        for id in frequent_roots {
-            apply_outcome(&mut tree, id, &mut outcomes, &mut result);
-        }
-        write_checkpoint(
-            g,
-            cfg_fp,
-            0,
-            &tree,
-            &live,
-            &result,
-            &negative_patterns,
-            scfg,
-        )?;
-        start_level = 1;
     }
-
-    // --- Levelwise waves. ---
-    for level in start_level..=cfg.level_cap() {
-        let parents: Vec<usize> = tree
-            .level(level - 1)
-            .iter()
-            .copied()
-            .filter(|&id| tree.node(id).state == NodeState::Frequent)
-            .collect();
-        if parents.is_empty() {
-            break;
-        }
-        let mut spawned_this_level = 0usize;
-
-        // Master: take each parent's merged harvest (folded during the
-        // previous level's build wave), propose, insert — `SeqDis`'s
-        // insertion order, with joins deferred into one wave.
-        let m0 = Instant::now();
-        let mut events: Vec<Event> = Vec::new();
-        let mut join_units: Vec<Unit> = Vec::new();
-        for &pid in &parents {
-            if !live.contains_key(&pid) {
-                continue;
-            }
-            let pq = Arc::new(tree.node(pid).pattern.clone());
-            let mut merged = pending.take(pid);
-            let proposals = proposals_from_harvest(&mut merged, cfg);
-            let negs = if cfg.mine_negative {
-                propose_negative_extensions(
-                    &tree.node(pid).pattern,
-                    g,
-                    &triples,
-                    &proposals.seen,
-                    cfg,
-                )
-            } else {
-                Vec::new()
-            };
-
-            let pms = Arc::clone(&live[&pid]);
-            for (ext, _count) in proposals.frequent {
-                if cfg.max_patterns_per_level > 0
-                    && spawned_this_level >= cfg.max_patterns_per_level
-                {
-                    break;
-                }
-                result.stats.patterns_spawned += 1;
-                let child_pattern = tree.node(pid).pattern.extend(&ext);
-                match tree.insert(child_pattern, Some(pid), Some(ext)) {
-                    Inserted::Existing(_) => result.stats.patterns_deduped += 1,
-                    Inserted::Fresh(cid) => {
-                        spawned_this_level += 1;
-                        let ranges = split_ranges(pms.len(), scfg.range_min_rows, max_parts);
-                        let joff = join_units.len();
-                        for &(lo, hi) in &ranges {
-                            join_units.push(Unit::Join {
-                                q: Arc::clone(&pq),
-                                ms: Arc::clone(&pms),
-                                ext,
-                                lo,
-                                hi,
-                            });
-                        }
-                        events.push(Event::Pos {
-                            pid,
-                            cid,
-                            joff,
-                            jcnt: ranges.len(),
-                            verdict: Verdict::Pending,
-                        });
-                    }
-                }
-            }
-            for ext in negs {
-                result.stats.patterns_spawned += 1;
-                let child_pattern = tree.node(pid).pattern.extend(&ext);
-                match tree.insert(child_pattern, Some(pid), Some(ext)) {
-                    Inserted::Existing(_) => result.stats.patterns_deduped += 1,
-                    Inserted::Fresh(cid) => {
-                        tree.node_mut(cid).state = NodeState::Empty;
-                        result.stats.patterns_empty += 1;
-                        events.push(Event::Neg { pid, cid });
-                    }
-                }
-            }
-        }
-        pool.charge_master(m0.elapsed());
-
-        // Wave J: all of the level's `(Q ⋈ e, pivot-range)` joins at once.
-        let joined = pool.run_wave(join_units)?;
-
-        // Master: verdicts in event order; queue frequent children for
-        // mining.
-        let m0 = Instant::now();
-        let mut mine_jobs: Vec<MineJob> = Vec::new();
-        for ev in events.iter_mut() {
-            let Event::Pos {
-                pid,
-                cid,
-                joff,
-                jcnt,
-                verdict,
-            } = ev
-            else {
-                continue;
-            };
-            let mut child_ms = MatchSet::new(tree.node(*cid).pattern.node_count());
-            let mut pivots: Vec<NodeId> = Vec::new();
-            for r in joined[*joff..*joff + *jcnt].iter() {
-                if let UnitResult::Joined { ms, pivots: p } = r {
-                    child_ms.extend(ms);
-                    pivots.extend_from_slice(p);
-                }
-            }
-            let rows = child_ms.len();
-            if rows == 0 {
-                tree.node_mut(*cid).state = NodeState::Empty;
-                result.stats.patterns_empty += 1;
-                *verdict = if cfg.mine_negative && tree.node(*pid).support >= cfg.sigma {
-                    Verdict::EmptyEmit
-                } else {
-                    Verdict::Quiet
-                };
-                continue;
-            }
-            pivots.sort_unstable();
-            pivots.dedup();
-            let support = pivots.len();
-            tree.node_mut(*cid).support = support;
-            let overflow = cfg.max_matches_per_pattern > 0 && rows > cfg.max_matches_per_pattern;
-            if overflow || (support < cfg.sigma && cfg.enable_pruning) {
-                tree.node_mut(*cid).state = NodeState::Infrequent;
-                result.stats.patterns_infrequent += 1;
-                *verdict = Verdict::Quiet;
-                continue;
-            }
-            tree.node_mut(*cid).state = NodeState::Frequent;
-            result.stats.patterns_verified += 1;
-            *verdict = Verdict::Mined;
-            let ms = Arc::new(child_ms);
-            live.insert(*cid, Arc::clone(&ms));
-            mine_jobs.push(MineJob {
-                id: *cid,
-                q: Arc::new(tree.node(*cid).pattern.clone()),
-                ms,
-                covered: tree.node(*pid).covered.clone(),
-            });
-        }
-        pool.charge_master(m0.elapsed());
-
-        // Wave M: the level's lattices, with the next level's harvests
-        // folded into the build wave (none at the final level).
-        let (mut outcomes, next_pending) = run_mining(
-            &mut pool,
-            mine_jobs,
-            &attrs,
-            &cfg_arc,
-            scfg,
-            level < cfg.level_cap(),
-        )?;
-        pending = next_pending;
-
-        // Emission replay, in `SeqDis`'s exact order.
-        for ev in &events {
-            match ev {
-                Event::Pos {
-                    pid, cid, verdict, ..
-                } => match verdict {
-                    Verdict::Mined => apply_outcome(&mut tree, *cid, &mut outcomes, &mut result),
-                    Verdict::EmptyEmit => {
-                        emit_negative(&tree, *cid, *pid, &mut result, &mut negative_patterns)
-                    }
-                    _ => {}
-                },
-                Event::Neg { pid, cid } => {
-                    emit_negative(&tree, *cid, *pid, &mut result, &mut negative_patterns)
-                }
-            }
-        }
-
-        // Reclaim matches below the new frontier.
-        live.retain(|&id, _| tree.node(id).level >= level);
-
-        write_checkpoint(
-            g,
-            cfg_fp,
-            level,
-            &tree,
-            &live,
-            &result,
-            &negative_patterns,
-            scfg,
-        )?;
-    }
-
+    let mut result = driver.run(&mut exec, from_level)?;
+    let pool = exec.pool;
     pool.fstats.apply_to(&mut result.stats);
-    result.stats.positive = result.positive_count();
-    result.stats.negative = result.negative_count();
     let wall = wall0.elapsed();
     result.stats.total_time = wall;
-    result.stats.peak_rss_bytes = gfd_core::peak_rss_bytes();
-    result.stats.graph_bytes = g.build_stats().graph_bytes;
-    result.stats.graph_reallocs = g.build_stats().builder_reallocs;
     Ok(ParDisReport {
         result,
         wall,
@@ -1868,321 +1484,512 @@ pub fn par_dis_steal(
     })
 }
 
-/// Serialises the completed level's frontier to `StealConfig::checkpoint`
-/// (atomic temp-file + rename), then honours `halt_after_level` — the
-/// crash-simulation hook the resume tests kill runs with.
-#[allow(clippy::too_many_arguments)]
-fn write_checkpoint(
-    g: &Graph,
+/// The steal executor: the roots seed in one wave, each level's joins run
+/// in one wave, and each level's lattices in the build and `MineRhs`
+/// waves of [`Waves::run_mining`], whose build wave also harvests the
+/// next level. Matches live at the master behind `Arc`s; workers see them
+/// through their units, never a broadcast.
+struct Waves<'a> {
+    pool: StealPool,
+    g: &'a Graph,
+    cfg: Arc<DiscoveryConfig>,
+    scfg: &'a StealConfig,
+    attrs: Arc<Vec<AttrId>>,
+    /// Matches of every frequent pattern a later wave still reads.
+    live: FxHashMap<usize, Arc<MatchSet>>,
+    /// Harvests of the next level's parents, folded during the build wave.
+    pending: ProposalAccumulator,
+    /// A resumed frontier whose harvests have not run yet.
+    unharvested: Vec<usize>,
     cfg_fp: u64,
-    level: usize,
-    tree: &GenTree,
-    live: &FxHashMap<usize, Arc<MatchSet>>,
-    result: &DiscoveryResult,
-    negative_patterns: &[Pattern],
-    scfg: &StealConfig,
-) -> Result<(), FaultError> {
-    if let Some(path) = &scfg.checkpoint {
-        // The frontier is exactly the nodes the next level will read:
-        // this level's frequent patterns with retained matches, in tree
-        // order (= `SeqDis` insertion order, which resume must replay).
-        let mut frontier: Vec<FrontierNode> = Vec::new();
-        for &id in tree.level(level) {
-            if tree.node(id).state != NodeState::Frequent {
-                continue;
-            }
-            let Some(ms) = live.get(&id) else { continue };
-            frontier.push(FrontierNode {
-                pattern: tree.node(id).pattern.clone(),
-                support: tree.node(id).support,
-                covered: tree.node(id).covered.clone(),
-                matches: (**ms).clone(),
-            });
-        }
-        let mut ck = Checkpoint {
-            graph_nodes: g.node_count(),
-            graph_edges: g.edge_count(),
-            cfg_fingerprint: cfg_fp,
-            level,
-            counters: [0; 5],
-            hspawn: HSpawnStats::default(),
-            rules: result.gfds.clone(),
-            negative_patterns: negative_patterns.to_vec(),
-            frontier,
-        };
-        ck.record_stats(&result.stats);
-        ck.save(path)?;
-    }
-    if scfg.halt_after_level == Some(level) {
-        return Err(FaultError::Halted { level });
-    }
-    Ok(())
 }
 
-/// Mines the queued lattices in three phases:
-///
-/// 1. one **build wave** creating every pattern's `Arc`-shared table
-///    shards and merging their literal counts into catalogs (single shard
-///    for small tables, `workers × range_oversplit` ranges past the
-///    row threshold) — and, when `harvest_children` is set, the same wave
-///    harvests every pattern's extension proposals by row range, each
-///    worker folding its harvests into a [`ProposalAccumulator`] that the
-///    master drains and merges after the wave (the next level's proposals
-///    cost no extra wave and no serial master merge);
-/// 2. one **`MineRhs` wave** for the small patterns — per-consequence
-///    sub-lattice units, merged per pattern in catalog order (independent
-///    by construction, so the merge reproduces `mine_dependencies`
-///    exactly);
-/// 3. the large patterns' lattices at the master, each candidate fanning
-///    out as `(rule, pivot-range)` units with range affinity.
-fn run_mining(
-    pool: &mut StealPool,
-    jobs: Vec<MineJob>,
-    attrs: &Arc<Vec<AttrId>>,
-    cfg: &Arc<DiscoveryConfig>,
-    scfg: &StealConfig,
-    harvest_children: bool,
-) -> Result<(FxHashMap<usize, MineOutcome>, ProposalAccumulator), FaultError> {
-    let mut outcomes: FxHashMap<usize, MineOutcome> = FxHashMap::default();
-    let max_parts = pool.workers() * scfg.range_oversplit;
+/// A pattern queued for lattice mining.
+struct Lattice {
+    id: usize,
+    q: Arc<Pattern>,
+    ms: Arc<MatchSet>,
+    covered: Vec<Covered>,
+}
 
-    // Phase 1: shards + catalogs (+ next-level harvests) for every job,
-    // one wave.
-    let mut specs: Vec<(Arc<EvalSpec>, bool)> = Vec::with_capacity(jobs.len());
-    let mut build_units: Vec<Unit> = Vec::new();
-    for job in &jobs {
-        let rows = job.ms.len();
-        let large = rows >= scfg.range_rows_threshold;
-        let ranges = if large {
-            split_ranges(rows, scfg.range_min_rows, max_parts)
-        } else {
-            vec![(0, rows)]
-        };
-        let spec = Arc::new(EvalSpec::new(
-            job.id,
-            Arc::clone(&job.q),
-            Arc::clone(&job.ms),
-            Arc::clone(attrs),
-            ranges,
-        ));
-        for range in 0..spec.ranges.len() {
-            build_units.push(Unit::BuildRange {
-                spec: Arc::clone(&spec),
-                range,
+impl Executor for Waves<'_> {
+    type Error = FaultError;
+
+    fn seed_roots(
+        &mut self,
+        tree: &GenTree,
+        roots: &[usize],
+        keep: &mut dyn FnMut(Joined) -> bool,
+    ) -> Result<(), FaultError> {
+        let m0 = Instant::now();
+        let mut units: Vec<Unit> = Vec::new();
+        let mut spans = Vec::with_capacity(roots.len());
+        for &id in roots {
+            let q = &tree.node(id).pattern;
+            let pivots: Arc<Vec<NodeId>> = Arc::new(match q.node_label(0) {
+                PLabel::Is(l) => self.g.nodes_with_label(l).to_vec(),
+                PLabel::Wildcard => self.g.nodes().collect(),
             });
-        }
-        specs.push((spec, large));
-    }
-    let catalog_units = build_units.len();
-    if harvest_children {
-        for job in &jobs {
-            for &(lo, hi) in &split_ranges(job.ms.len(), scfg.range_min_rows, max_parts) {
-                build_units.push(Unit::Harvest {
-                    node: job.id,
-                    q: Arc::clone(&job.q),
-                    ms: Arc::clone(&job.ms),
-                    cfg: Arc::clone(cfg),
+            let cp = Arc::new(CompiledPattern::new(q));
+            let ranges = self.ranges(pivots.len());
+            spans.push(ranges.len());
+            for (lo, hi) in ranges {
+                units.push(Unit::Seed {
+                    cp: Arc::clone(&cp),
+                    pivots: Arc::clone(&pivots),
                     lo,
                     hi,
                 });
             }
         }
-    }
-    let wave = pool.run_wave(build_units)?;
-    let m0 = Instant::now();
-    let harvests = if harvest_children {
-        pool.drain_accumulators()
-    } else {
-        ProposalAccumulator::default()
-    };
-    let mut built = wave.into_iter().take(catalog_units);
-    let catalogs: Vec<Arc<LiteralCatalog>> = specs
-        .iter()
-        .map(|(spec, _)| {
-            let mut counts = CatalogCounts::default();
-            for r in built.by_ref().take(spec.ranges.len()) {
-                if let UnitResult::Counts(c) = r {
-                    counts.merge(*c);
+        self.pool.charge_master(m0.elapsed());
+        let mut seeded = self.pool.run_wave(units)?.into_iter();
+        for (&id, n) in roots.iter().zip(spans) {
+            let mut ms = MatchSet::new(1);
+            for r in seeded.by_ref().take(n) {
+                if let UnitResult::Seeded(part) = r {
+                    ms.extend(&part);
                 }
             }
-            Arc::new(counts.finalize_capped(
-                cfg.values_per_attr,
-                cfg.sigma.min(spec.ms.len().max(1)),
-                cfg.max_catalog_literals,
-            ))
-        })
-        .collect();
-    pool.charge_master(m0.elapsed());
-
-    // Phase 2: per-consequence sub-lattices for the small patterns. The
-    // catalogs' exact per-literal row counts (the σ-bound scan's actual
-    // row mass, merged identically however the rows were cut) drive an
-    // adaptive split: a consequence whose mass alone reaches an even
-    // per-slot share of the wave would pin `work_makespan` as one
-    // monolithic `MineRhs` unit, so its lattice runs at the master
-    // instead, each candidate fanning out over `(rule, pivot-range)`
-    // units — the phase-3 recipe, applied per consequence by measured
-    // weight rather than per pattern by the fixed `range_rows_threshold`.
-    let slots = (pool.workers() * scfg.range_oversplit).max(1) as u64;
-    let light_mass: u64 = jobs
-        .iter()
-        .enumerate()
-        .filter(|(i, _)| !specs[*i].1)
-        .map(|(i, _)| catalogs[i].counts.iter().map(|&c| c as u64).sum::<u64>())
-        .sum();
-    let heavy_cut = (light_mass / slots).max(scfg.range_min_rows as u64).max(1);
-    let mut rhs_units: Vec<Unit> = Vec::new();
-    let mut heavy: Vec<(usize, usize, Arc<EvalSpec>)> = Vec::new();
-    for (i, job) in jobs.iter().enumerate() {
-        let (spec, large) = &specs[i];
-        if *large {
-            continue;
-        }
-        let covered = Arc::new(job.covered.clone());
-        let split = split_ranges(job.ms.len(), scfg.range_min_rows, max_parts);
-        for l_idx in 0..catalogs[i].literals.len() {
-            let mass = catalogs[i].counts.get(l_idx).copied().unwrap_or(0) as u64;
-            if mass >= heavy_cut && split.len() > 1 {
-                // A fresh spec under a virtual node id: worker shard
-                // caches key `(node, range)`, and the split shards must
-                // not collide with this pattern's full-table shard (or
-                // any other pattern's). Virtual ids descend from
-                // `usize::MAX`, far above any generation-tree id, and
-                // never repeat across the run.
-                let hspec = Arc::new(EvalSpec::new(
-                    next_virtual_node(),
-                    Arc::clone(&job.q),
-                    Arc::clone(&job.ms),
-                    Arc::clone(attrs),
-                    split.clone(),
-                ));
-                heavy.push((i, l_idx, hspec));
-                continue;
+            let rows = ms.len();
+            if keep(Joined {
+                rows,
+                support: rows,
+            }) {
+                self.live.insert(id, Arc::new(ms));
             }
-            rhs_units.push(Unit::MineRhs {
-                spec: Arc::clone(spec),
-                catalog: Arc::clone(&catalogs[i]),
-                l_idx,
-                covered: Arc::clone(&covered),
-                cfg: Arc::clone(cfg),
+        }
+        Ok(())
+    }
+
+    fn harvest(
+        &mut self,
+        tree: &GenTree,
+        parent: usize,
+        _stats: &mut DiscoveryStats,
+    ) -> Result<RawHarvest, FaultError> {
+        if !self.unharvested.is_empty() {
+            // A resumed frontier: on the cold path its harvests rode the
+            // build wave that died with the original run, so they run as
+            // one wave before the first parent is read. The fold is a
+            // monoid merge, so the result is worker-count independent.
+            let mut units: Vec<Unit> = Vec::new();
+            for id in std::mem::take(&mut self.unharvested) {
+                let q = Arc::new(tree.node(id).pattern.clone());
+                self.push_harvests(&mut units, id, &q, &self.live[&id]);
+            }
+            self.pool.run_wave(units)?;
+            self.pending = self.pool.drain_accumulators();
+        }
+        // Folded during the previous level's build wave.
+        Ok(self.pending.take(parent))
+    }
+
+    fn join(
+        &mut self,
+        tree: &GenTree,
+        spawns: &[Spawn],
+        _stats: &mut DiscoveryStats,
+        keep: &mut dyn FnMut(Joined) -> bool,
+    ) -> Result<(), FaultError> {
+        // One wave: all of the level's `(Q ⋈ e, pivot-range)` joins.
+        let m0 = Instant::now();
+        let mut units: Vec<Unit> = Vec::new();
+        let mut spans = Vec::with_capacity(spawns.len());
+        for s in spawns {
+            let q = Arc::new(tree.node(s.parent).pattern.clone());
+            let pms = &self.live[&s.parent];
+            let ranges = self.ranges(pms.len());
+            spans.push(ranges.len());
+            for (lo, hi) in ranges {
+                units.push(Unit::Join {
+                    q: Arc::clone(&q),
+                    ms: Arc::clone(pms),
+                    ext: s.ext,
+                    lo,
+                    hi,
+                });
+            }
+        }
+        self.pool.charge_master(m0.elapsed());
+        let mut joined = self.pool.run_wave(units)?.into_iter();
+
+        let m0 = Instant::now();
+        for (s, n) in spawns.iter().zip(spans) {
+            let mut ms = MatchSet::new(tree.node(s.child).pattern.node_count());
+            let mut pivots: Vec<NodeId> = Vec::new();
+            for r in joined.by_ref().take(n) {
+                if let UnitResult::Joined {
+                    ms: part,
+                    pivots: p,
+                } = r
+                {
+                    ms.extend(&part);
+                    pivots.extend_from_slice(&p);
+                }
+            }
+            pivots.sort_unstable();
+            pivots.dedup();
+            let rows = ms.len();
+            if keep(Joined {
+                rows,
+                support: pivots.len(),
+            }) {
+                self.live.insert(s.child, Arc::new(ms));
+            }
+        }
+        self.pool.charge_master(m0.elapsed());
+        Ok(())
+    }
+
+    fn mine(
+        &mut self,
+        tree: &GenTree,
+        jobs: Vec<MineJob>,
+        harvest_next: bool,
+        _stats: &mut DiscoveryStats,
+    ) -> Result<Vec<MineOutcome>, FaultError> {
+        let jobs = jobs
+            .into_iter()
+            .map(|job| Lattice {
+                id: job.node,
+                q: Arc::new(tree.node(job.node).pattern.clone()),
+                ms: Arc::clone(&self.live[&job.node]),
+                covered: job.covered,
+            })
+            .collect();
+        self.run_mining(jobs, harvest_next)
+    }
+
+    fn level_done(&mut self, driver: &Driver<'_>, level: usize) -> Result<(), FaultError> {
+        // The next level reads only this level's matches.
+        self.live
+            .retain(|&id, _| driver.tree.node(id).level >= level);
+        self.checkpoint(driver, level)
+    }
+
+    fn charge_master(&mut self, elapsed: Duration) {
+        self.pool.charge_master(elapsed);
+    }
+}
+
+impl Waves<'_> {
+    /// Row ranges of a row space of `rows`.
+    fn ranges(&self, rows: usize) -> Vec<(usize, usize)> {
+        split_ranges(
+            rows,
+            self.scfg.range_min_rows,
+            self.pool.workers() * self.scfg.range_oversplit,
+        )
+    }
+
+    /// `(node, row-range)` harvest units over `ms`.
+    fn push_harvests(
+        &self,
+        units: &mut Vec<Unit>,
+        node: usize,
+        q: &Arc<Pattern>,
+        ms: &Arc<MatchSet>,
+    ) {
+        for (lo, hi) in self.ranges(ms.len()) {
+            units.push(Unit::Harvest {
+                node,
+                q: Arc::clone(q),
+                ms: Arc::clone(ms),
+                cfg: Arc::clone(&self.cfg),
+                lo,
+                hi,
             });
         }
     }
-    let mut rhs_results = pool.run_wave(rhs_units)?.into_iter();
-    // Heavy consequences mine after the light wave with the phase-3
-    // evaluator; outcomes park in a map until the in-order merge below,
-    // which reproduces `mine_dependencies`'s catalog order exactly.
-    let mut heavy_outcomes: FxHashMap<(usize, usize), RhsMineOutcome> = FxHashMap::default();
-    let mut closure = ClosureScratch::new();
-    for (i, l_idx, hspec) in heavy {
-        let l = catalogs[i].literals[l_idx];
-        let o = {
-            let mut eval = PoolEvaluator { pool, spec: hspec };
-            mine_rhs_with(
-                &mut eval,
-                &catalogs[i],
-                l,
-                &jobs[i].covered,
-                cfg,
-                &mut closure,
-            )
-        };
-        // The evaluator swallows wave errors (the trait cannot carry
-        // them); surface the sticky failure before parking the outcome.
-        pool.check()?;
-        heavy_outcomes.insert((i, l_idx), o);
+
+    /// Rebuilds the driver's state from a level checkpoint and returns the
+    /// level to continue at.
+    fn restore(&mut self, driver: &mut Driver<'_>, ck: Checkpoint) -> Result<usize, FaultError> {
+        ck.validate(self.g.node_count(), self.g.edge_count(), self.cfg_fp)?;
+        ck.restore_stats(&mut driver.result.stats);
+        driver.result.gfds = ck.rules;
+        driver.negative_patterns = ck.negative_patterns;
+        let (nodes, matches): (Vec<_>, Vec<_>) = ck
+            .frontier
+            .into_iter()
+            .map(|f| ((f.pattern, f.support, f.covered), f.matches))
+            .unzip();
+        self.unharvested = driver.restore_frontier(nodes);
+        for (&id, ms) in self.unharvested.iter().zip(matches) {
+            self.live.insert(id, Arc::new(ms));
+        }
+        Ok(ck.level + 1)
     }
-    let m0 = Instant::now();
-    for (i, job) in jobs.iter().enumerate() {
-        if specs[i].1 {
-            continue;
-        }
-        let mut deps: Vec<MinedDependency> = Vec::new();
-        let mut covered = job.covered.clone();
-        let mut negatives = FxHashMap::default();
-        let mut hstats = HSpawnStats::default();
-        for l_idx in 0..catalogs[i].literals.len() {
-            let o = match heavy_outcomes.remove(&(i, l_idx)) {
-                Some(o) => o,
-                None => match rhs_results.next() {
-                    Some(UnitResult::RhsMined(o)) => *o,
-                    _ => continue,
-                },
+
+    /// Serialises the completed level's frontier to
+    /// `StealConfig::checkpoint` (atomic temp-file + rename), then honours
+    /// `halt_after_level` — the crash-simulation hook the resume tests
+    /// kill runs with.
+    fn checkpoint(&self, driver: &Driver<'_>, level: usize) -> Result<(), FaultError> {
+        if let Some(path) = &self.scfg.checkpoint {
+            // The frontier is exactly the nodes the next level will read:
+            // this level's frequent patterns, in tree order (the insertion
+            // order a resumed run must restore).
+            let tree = &driver.tree;
+            let frontier: Vec<FrontierNode> = tree
+                .level(level)
+                .iter()
+                .filter_map(|&id| {
+                    let ms = self.live.get(&id)?;
+                    let node = tree.node(id);
+                    Some(FrontierNode {
+                        pattern: node.pattern.clone(),
+                        support: node.support,
+                        covered: node.covered.clone(),
+                        matches: (**ms).clone(),
+                    })
+                })
+                .collect();
+            let mut ck = Checkpoint {
+                graph_nodes: self.g.node_count(),
+                graph_edges: self.g.edge_count(),
+                cfg_fingerprint: self.cfg_fp,
+                level,
+                counters: [0; 5],
+                hspawn: HSpawnStats::default(),
+                rules: driver.result.gfds.clone(),
+                negative_patterns: driver.negative_patterns.clone(),
+                frontier,
             };
-            merge_rhs_outcome(o, &mut deps, &mut covered, &mut negatives, &mut hstats);
+            ck.record_stats(&driver.result.stats);
+            ck.save(path)?;
         }
-        finish_negatives(negatives, &mut deps);
-        outcomes.insert(
-            job.id,
-            MineOutcome {
+        if self.scfg.halt_after_level == Some(level) {
+            return Err(FaultError::Halted { level });
+        }
+        Ok(())
+    }
+
+    /// Mines the queued lattices in three phases:
+    ///
+    /// 1. one **build wave** creating every pattern's `Arc`-shared table
+    ///    shards and merging their literal counts into catalogs (single shard
+    ///    for small tables, `workers × range_oversplit` ranges past the
+    ///    row threshold) — and, when `harvest_children` is set, the same wave
+    ///    harvests every pattern's extension proposals by row range, each
+    ///    worker folding its harvests into a [`ProposalAccumulator`] that the
+    ///    master drains and merges after the wave (the next level's proposals
+    ///    cost no extra wave and no serial master merge);
+    /// 2. one **`MineRhs` wave** for the small patterns — per-consequence
+    ///    sub-lattice units, merged per pattern in catalog order (independent
+    ///    by construction, so the merge reproduces `mine_dependencies`
+    ///    exactly);
+    /// 3. the large patterns' lattices at the master, each candidate fanning
+    ///    out as `(rule, pivot-range)` units with range affinity.
+    fn run_mining(
+        &mut self,
+        jobs: Vec<Lattice>,
+        harvest_children: bool,
+    ) -> Result<Vec<MineOutcome>, FaultError> {
+        let mut outcomes: Vec<Option<MineOutcome>> = jobs.iter().map(|_| None).collect();
+
+        // Phase 1: shards + catalogs (+ next-level harvests) for every job,
+        // one wave.
+        let mut specs: Vec<(Arc<EvalSpec>, bool)> = Vec::with_capacity(jobs.len());
+        let mut build_units: Vec<Unit> = Vec::new();
+        for job in &jobs {
+            let rows = job.ms.len();
+            let large = rows >= self.scfg.range_rows_threshold;
+            let ranges = if large {
+                self.ranges(rows)
+            } else {
+                vec![(0, rows)]
+            };
+            let spec = Arc::new(EvalSpec::new(
+                job.id,
+                Arc::clone(&job.q),
+                Arc::clone(&job.ms),
+                Arc::clone(&self.attrs),
+                ranges,
+            ));
+            for range in 0..spec.ranges.len() {
+                build_units.push(Unit::BuildRange {
+                    spec: Arc::clone(&spec),
+                    range,
+                });
+            }
+            specs.push((spec, large));
+        }
+        let catalog_units = build_units.len();
+        if harvest_children {
+            for job in &jobs {
+                self.push_harvests(&mut build_units, job.id, &job.q, &job.ms);
+            }
+        }
+        let wave = self.pool.run_wave(build_units)?;
+        let m0 = Instant::now();
+        if harvest_children {
+            self.pending = self.pool.drain_accumulators();
+        }
+        let mut built = wave.into_iter().take(catalog_units);
+        let catalogs: Vec<Arc<LiteralCatalog>> = specs
+            .iter()
+            .map(|(spec, _)| {
+                let mut counts = CatalogCounts::default();
+                for r in built.by_ref().take(spec.ranges.len()) {
+                    if let UnitResult::Counts(c) = r {
+                        counts.merge(*c);
+                    }
+                }
+                Arc::new(counts.finalize_capped(
+                    self.cfg.values_per_attr,
+                    self.cfg.sigma.min(spec.ms.len().max(1)),
+                    self.cfg.max_catalog_literals,
+                ))
+            })
+            .collect();
+        self.pool.charge_master(m0.elapsed());
+
+        // Phase 2: per-consequence sub-lattices for the small patterns. The
+        // catalogs' exact per-literal row counts (the σ-bound scan's actual
+        // row mass, merged identically however the rows were cut) drive an
+        // adaptive split: a consequence whose mass alone reaches an even
+        // per-slot share of the wave would pin `work_makespan` as one
+        // monolithic `MineRhs` unit, so its lattice runs at the master
+        // instead, each candidate fanning out over `(rule, pivot-range)`
+        // units — the phase-3 recipe, applied per consequence by measured
+        // weight rather than per pattern by the fixed `range_rows_threshold`.
+        let slots = (self.pool.workers() * self.scfg.range_oversplit).max(1) as u64;
+        let light_mass: u64 = jobs
+            .iter()
+            .enumerate()
+            .filter(|(i, _)| !specs[*i].1)
+            .map(|(i, _)| catalogs[i].counts.iter().map(|&c| c as u64).sum::<u64>())
+            .sum();
+        let heavy_cut = (light_mass / slots)
+            .max(self.scfg.range_min_rows as u64)
+            .max(1);
+        let mut rhs_units: Vec<Unit> = Vec::new();
+        let mut heavy: Vec<(usize, usize, Arc<EvalSpec>)> = Vec::new();
+        for (i, job) in jobs.iter().enumerate() {
+            let (spec, large) = &specs[i];
+            if *large {
+                continue;
+            }
+            let covered = Arc::new(job.covered.clone());
+            let split = self.ranges(job.ms.len());
+            for l_idx in 0..catalogs[i].literals.len() {
+                let mass = catalogs[i].counts.get(l_idx).copied().unwrap_or(0) as u64;
+                if mass >= heavy_cut && split.len() > 1 {
+                    // A fresh spec under a virtual node id: worker shard
+                    // caches key `(node, range)`, and the split shards must
+                    // not collide with this pattern's full-table shard (or
+                    // any other pattern's). Virtual ids descend from
+                    // `usize::MAX`, far above any generation-tree id, and
+                    // never repeat across the run.
+                    let hspec = Arc::new(EvalSpec::new(
+                        next_virtual_node(),
+                        Arc::clone(&job.q),
+                        Arc::clone(&job.ms),
+                        Arc::clone(&self.attrs),
+                        split.clone(),
+                    ));
+                    heavy.push((i, l_idx, hspec));
+                    continue;
+                }
+                rhs_units.push(Unit::MineRhs {
+                    spec: Arc::clone(spec),
+                    catalog: Arc::clone(&catalogs[i]),
+                    l_idx,
+                    covered: Arc::clone(&covered),
+                    cfg: Arc::clone(&self.cfg),
+                });
+            }
+        }
+        let mut rhs_results = self.pool.run_wave(rhs_units)?.into_iter();
+        // Heavy consequences mine after the light wave with the phase-3
+        // evaluator; outcomes park in a map until the in-order merge below,
+        // which reproduces `mine_dependencies`'s catalog order exactly.
+        let mut heavy_outcomes: FxHashMap<(usize, usize), RhsMineOutcome> = FxHashMap::default();
+        let mut closure = ClosureScratch::new();
+        for (i, l_idx, hspec) in heavy {
+            let l = catalogs[i].literals[l_idx];
+            let o = {
+                let mut eval = PoolEvaluator {
+                    pool: &mut self.pool,
+                    spec: hspec,
+                };
+                mine_rhs_with(
+                    &mut eval,
+                    &catalogs[i],
+                    l,
+                    &jobs[i].covered,
+                    &self.cfg,
+                    &mut closure,
+                )
+            };
+            // The evaluator swallows wave errors (the trait cannot carry
+            // them); surface the sticky failure before parking the outcome.
+            self.pool.check()?;
+            heavy_outcomes.insert((i, l_idx), o);
+        }
+        let m0 = Instant::now();
+        for (i, job) in jobs.iter().enumerate() {
+            if specs[i].1 {
+                continue;
+            }
+            let mut deps: Vec<MinedDependency> = Vec::new();
+            let mut covered = job.covered.clone();
+            let mut negatives = FxHashMap::default();
+            let mut hstats = HSpawnStats::default();
+            for l_idx in 0..catalogs[i].literals.len() {
+                let o = match heavy_outcomes.remove(&(i, l_idx)) {
+                    Some(o) => o,
+                    None => match rhs_results.next() {
+                        Some(UnitResult::RhsMined(o)) => *o,
+                        _ => continue,
+                    },
+                };
+                merge_rhs_outcome(o, &mut deps, &mut covered, &mut negatives, &mut hstats);
+            }
+            finish_negatives(negatives, &mut deps);
+            outcomes[i] = Some(MineOutcome {
                 deps,
                 covered,
                 hstats,
-            },
-        );
-    }
-    pool.charge_master(m0.elapsed());
-
-    // Phase 3: large patterns, candidate by candidate over range units.
-    for (i, job) in jobs.iter().enumerate() {
-        let (spec, large) = &specs[i];
-        if !*large {
-            continue;
+            });
         }
-        let mut covered = job.covered.clone();
-        let (deps, hstats) = {
-            let mut eval = PoolEvaluator {
-                pool,
-                spec: Arc::clone(spec),
+        self.pool.charge_master(m0.elapsed());
+
+        // Phase 3: large patterns, candidate by candidate over range units.
+        for (i, job) in jobs.iter().enumerate() {
+            let (spec, large) = &specs[i];
+            if !*large {
+                continue;
+            }
+            let mut covered = job.covered.clone();
+            let (deps, hstats) = {
+                let mut eval = PoolEvaluator {
+                    pool: &mut self.pool,
+                    spec: Arc::clone(spec),
+                };
+                mine_dependencies_with(&mut eval, &catalogs[i], &mut covered, &self.cfg)
             };
-            mine_dependencies_with(&mut eval, &catalogs[i], &mut covered, cfg)
-        };
-        // The evaluator swallows wave errors (the trait cannot carry
-        // them); surface the sticky failure before installing a partial
-        // outcome.
-        pool.check()?;
-        outcomes.insert(
-            job.id,
-            MineOutcome {
+            // The evaluator swallows wave errors (the trait cannot carry
+            // them); surface the sticky failure before returning a partial
+            // outcome.
+            self.pool.check()?;
+            outcomes[i] = Some(MineOutcome {
                 deps,
                 covered,
                 hstats,
-            },
-        );
-    }
-    Ok((outcomes, harvests))
-}
-
-/// Installs a mined outcome on the tree and appends its dependencies —
-/// the emission step of `SeqDis`'s `mine_node`, replayed in order.
-fn apply_outcome(
-    tree: &mut GenTree,
-    id: usize,
-    outcomes: &mut FxHashMap<usize, MineOutcome>,
-    result: &mut DiscoveryResult,
-) {
-    let Some(o) = outcomes.remove(&id) else {
-        return;
-    };
-    let pattern = tree.node(id).pattern.clone();
-    let level = pattern.edge_count();
-    tree.node_mut(id).covered = o.covered;
-    result.stats.hspawn.merge(&o.hstats);
-    for dep in o.deps {
-        let confidence = dep.confidence();
-        result.gfds.push(DiscoveredGfd {
-            gfd: Gfd::new(pattern.clone(), dep.lhs, dep.rhs),
-            support: dep.support,
-            level,
-            confidence,
-        });
+            });
+        }
+        // Every job is either small (phase 2) or large (phase 3).
+        Ok(outcomes.into_iter().flatten().collect())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gfd_core::seq_dis;
+    use gfd_core::{seq_dis, DiscoveryResult};
     use gfd_graph::GraphBuilder;
 
     /// The same planted KB the barrier driver's tests use.

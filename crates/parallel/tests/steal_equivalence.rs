@@ -1,16 +1,17 @@
-//! Equivalence suite for the work-stealing runtime: on random attributed
-//! graphs, `par_dis` on the steal runtime must produce exactly `SeqDis`'s
-//! output — the rule sequence (text, support, level, confidence, *order*),
-//! the run counters, and therefore the same cover — across worker counts
-//! {1, 2, 4}, both execution modes, and both lattice paths (whole-lattice
-//! `Mine` units and the `(rule, pivot-range)` evaluator). A determinism
-//! property pins two threaded runs on the same seed to identical reports.
+//! Equivalence suite for the parallel runtimes: on random attributed
+//! graphs, `par_dis` on the steal runtime — and on the barrier runtime —
+//! must produce exactly `SeqDis`'s output — the rule sequence (text,
+//! support, level, confidence, *order*), the run counters, and therefore
+//! the same cover — across worker counts {1, 2, 4}, both execution modes,
+//! and both steal lattice paths (per-consequence `MineRhs` units and the
+//! `(rule, pivot-range)` evaluator). A determinism property pins two
+//! threaded runs on the same seed to identical reports.
 
 use std::sync::Arc;
 
 use gfd_core::{cover_indices, seq_dis, DiscoveryConfig, DiscoveryResult};
 use gfd_graph::{Graph, GraphBuilder};
-use gfd_parallel::{par_dis_steal, ExecMode, StealConfig};
+use gfd_parallel::{par_dis, par_dis_steal, ClusterConfig, ExecMode, StealConfig};
 use proptest::prelude::*;
 
 const NODE_LABELS: usize = 3;
@@ -85,11 +86,24 @@ fn fingerprint(result: &DiscoveryResult, g: &Graph) -> Vec<String> {
         .collect()
 }
 
+/// The five spawn counters: spawned, verified, empty, infrequent, deduped.
+fn pattern_counters(result: &DiscoveryResult) -> [usize; 5] {
+    let s = &result.stats;
+    [
+        s.patterns_spawned,
+        s.patterns_verified,
+        s.patterns_empty,
+        s.patterns_infrequent,
+        s.patterns_deduped,
+    ]
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Rule sequence + counters + cover identical to `SeqDis` across
-    /// worker counts and both execution modes (Mine-unit lattice path).
+    /// Rule sequence + counters + cover identical to `SeqDis` on both
+    /// parallel runtimes, across worker counts and both execution modes
+    /// (`MineRhs`-unit lattice path on steal).
     #[test]
     fn steal_matches_seq_dis(p in kb_strategy()) {
         let g = build_kb(&p);
@@ -99,20 +113,20 @@ proptest! {
         let seq_cover = cover_indices(&seq.rules());
         for mode in [ExecMode::Simulated, ExecMode::Threads] {
             for n in [1usize, 2, 4] {
-                let par = par_dis_steal(&g, &cfg, &StealConfig::new(n, mode)).expect("fault-free");
-                prop_assert_eq!(
-                    fingerprint(&par.result, &g),
-                    want.clone(),
-                    "n={} mode={:?} kb={:?}", n, mode, p
-                );
-                prop_assert_eq!(&par.result.stats.hspawn, &seq.stats.hspawn);
-                prop_assert_eq!(
-                    par.result.stats.patterns_verified,
-                    seq.stats.patterns_verified
-                );
-                // Identical rule sequences imply identical covers; check
-                // the cover computation agrees end to end anyway.
-                prop_assert_eq!(&cover_indices(&par.result.rules()), &seq_cover);
+                let steal = par_dis_steal(&g, &cfg, &StealConfig::new(n, mode)).expect("fault-free");
+                let barrier = par_dis(&g, &cfg, &ClusterConfig::new(n, mode)).expect("fault-free");
+                for (runtime, par) in [("steal", &steal), ("barrier", &barrier)] {
+                    prop_assert_eq!(
+                        fingerprint(&par.result, &g),
+                        want.clone(),
+                        "{} n={} mode={:?} kb={:?}", runtime, n, mode, p
+                    );
+                    prop_assert_eq!(&par.result.stats.hspawn, &seq.stats.hspawn);
+                    prop_assert_eq!(pattern_counters(&par.result), pattern_counters(&seq));
+                    // Identical rule sequences imply identical covers;
+                    // check the cover computation agrees end to end anyway.
+                    prop_assert_eq!(&cover_indices(&par.result.rules()), &seq_cover);
+                }
             }
         }
     }

@@ -1,6 +1,6 @@
 //! Parallel-scalable discovery (§6): `DisGFD = ParDis + ParCover`.
 //!
-//! Fragments a generated graph by vertex cut, runs discovery with an
+//! Fragments a generated graph by edge cut, runs discovery with an
 //! increasing number of workers in the simulated-cluster mode, and prints
 //! the Fig. 5(a)-style series: modelled n-machine time falls as workers
 //! are added, and the parallel output is identical to the sequential one.

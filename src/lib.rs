@@ -6,7 +6,7 @@
 //! fixed-parameter-tractable reasoning procedures (satisfiability,
 //! implication, validation), pivoted support with anti-monotonicity, the
 //! sequential discovery algorithm `SeqDisGFD`, and the parallel-scalable
-//! `DisGFD` over vertex-cut fragmented graphs — plus the paper's baselines
+//! `DisGFD` over edge-cut fragmented graphs — plus the paper's baselines
 //! (AMIE-style horn rules, path-pattern GCFDs, the split pipeline), data
 //! generators, and a benchmark harness regenerating every figure and table
 //! of the evaluation.
@@ -52,7 +52,7 @@
 //! | [`pattern`] | patterns `Q[x̄]`, isomorphism matching, canonical codes |
 //! | [`logic`] | GFDs, closure, satisfiability / implication / validation |
 //! | [`core`] | discovery: support, generation tree, `SeqDis`, `SeqCover` |
-//! | [`parallel`] | vertex cut, superstep runtime, `ParDis`, `ParCover` |
+//! | [`parallel`] | edge cut, barrier and work-stealing runtimes, `ParDis`, `ParCover` |
 //! | [`baselines`] | AMIE, GCFD, split-pipeline comparisons |
 //! | [`datagen`] | synthetic graphs, KB emulators, noise, Σ generators |
 //! | [`extended`] | GFDs with comparison predicates and arithmetic (§8) |

@@ -101,6 +101,13 @@ fn parallel_cover_agrees_with_sequential_cover_semantics() {
         },
     );
     let seq = seq_cover(&sigma);
+    // Both covers test rules in one total removal order, so grouped
+    // ParCover keeps exactly SeqCover's survivors at any worker count.
+    let seq_kept = gfd::core::cover_indices(&sigma);
+    for n in [1, 2, 4] {
+        let par = par_cover(&sigma, n, ExecMode::Simulated, true).expect("fault-free");
+        assert_eq!(par.cover, seq_kept, "survivors differ at {n} workers");
+    }
     for grouping in [true, false] {
         let par = par_cover(&sigma, 4, ExecMode::Simulated, grouping).expect("fault-free");
         let par_rules: Vec<Gfd> = par.cover.iter().map(|&i| sigma[i].clone()).collect();
