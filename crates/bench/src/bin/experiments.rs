@@ -71,12 +71,14 @@ fn run(name: &str, scale: Scale) {
             exp_extensions::ext_extended(scale).print();
         }
         // CI smoke: sequential discovery on the tiny datagen scenario, so
-        // the harness (datagen scenario + discovery + stats) cannot rot;
-        // the mined Σ's SeqCover and grouped ParCover must keep the same
-        // survivors.
+        // the harness (datagen scenario + discovery + stats) cannot rot.
+        // The mined Σ's cover is pinned to 883 of 1,748 rules; grouped
+        // ParCover's LPT schedule (workers 1, 2, 4) and the extended cover
+        // of the lifted Σ must keep the same survivors.
         "smoke" => {
             use gfd_core::{cover_indices, seq_dis, DiscoveryConfig};
             use gfd_datagen::{bench_scenario, ScenarioConfig};
+            use gfd_extended::{xcover_indices, XGfd};
             use gfd_parallel::{par_cover, ExecMode};
             let cfg = ScenarioConfig::tiny();
             let g = bench_scenario(&cfg);
@@ -102,6 +104,17 @@ fn run(name: &str, scale: Scale) {
             );
             let rules = result.rules();
             let kept = cover_indices(&rules);
+            assert_eq!(
+                (kept.len(), rules.len()),
+                (883, 1748),
+                "the tiny smoke cover must keep 883 of 1,748 rules"
+            );
+            let lifted: Vec<XGfd> = rules.iter().map(XGfd::from_base).collect();
+            assert_eq!(
+                xcover_indices(&lifted),
+                kept,
+                "the extended cover of the lifted rules differs from SeqCover's"
+            );
             for workers in [1, 2, 4] {
                 let par =
                     par_cover(&rules, workers, ExecMode::Simulated, true).expect("fault-free");

@@ -86,6 +86,11 @@ pub fn fig5l(scale: Scale) -> Table {
 }
 
 /// Fig. 6's SeqCover column: sequential cover cost per dataset.
+///
+/// `SeqCover` runs the cover engine inline, so each rule is tested against
+/// its Lemma 6 context only, once. The column is therefore not the paper's
+/// unoptimised baseline; the ungrouped `ParCovern` series of Fig. 5 still
+/// shows what testing every rule against all of `Σ` costs.
 pub fn sequential_cover(scale: Scale) -> Table {
     let mut t = Table::new(
         "Fig 6 (right): sequential SeqCover cost",

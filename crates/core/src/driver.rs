@@ -207,7 +207,7 @@ impl<'a> Driver<'a> {
         frontier
             .into_iter()
             .map(|(pattern, support, covered)| {
-                let id = self.tree.insert(pattern, None, None).id();
+                let id = self.tree.insert(pattern).id();
                 let node = self.tree.node_mut(id);
                 node.state = NodeState::Frequent;
                 node.support = support;
@@ -234,7 +234,7 @@ impl<'a> Driver<'a> {
             .chain(wildcard.then_some(PLabel::Wildcard));
         let mut ids = Vec::new();
         for label in roots {
-            if let Inserted::Fresh(id) = self.tree.insert(Pattern::single(label), None, None) {
+            if let Inserted::Fresh(id) = self.tree.insert(Pattern::single(label)) {
                 ids.push(id);
             }
         }
@@ -389,7 +389,7 @@ impl<'a> Driver<'a> {
     fn insert(&mut self, parent: usize, ext: Extension) -> Option<usize> {
         self.result.stats.patterns_spawned += 1;
         let child = self.tree.node(parent).pattern.extend(&ext);
-        match self.tree.insert(child, Some(parent), Some(ext)) {
+        match self.tree.insert(child) {
             Inserted::Fresh(id) => Some(id),
             Inserted::Existing(_) => {
                 self.result.stats.patterns_deduped += 1;

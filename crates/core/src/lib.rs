@@ -51,7 +51,7 @@ pub use hspawn::{
     RangeEvaluator, RhsMineOutcome, TableEvaluator,
 };
 pub use result::{peak_rss_bytes, DiscoveredGfd, DiscoveryResult, DiscoveryStats};
-pub use seqcover::{cover_indices, removal_order, seq_cover, seq_cover_discovered};
+pub use seqcover::{cover_indices, seq_cover, seq_cover_discovered};
 pub use seqdis::seq_dis;
 pub use support::{distinct_pivots, evaluate, lhs_satisfiable, CandidateStats, PartialStats};
 pub use table::MatchTable;

@@ -2,69 +2,24 @@
 //!
 //! Given the discovered set `Σ`, a **cover** `Σ_c ⊆ Σ` satisfies: it is
 //! equivalent to `Σ`, all members are minimum, and no member is implied by
-//! the others. Following the classical relational procedure (and the
-//! paper's SeqCover): repeatedly drop any `φ` with `Σ \ {φ} ⊨ φ`, using the
-//! implication characterisation of §3, until a fixpoint.
+//! the others. Following the paper's SeqCover, every `φ` with
+//! `Σ \ {φ} ⊨ φ` is dropped, using the implication characterisation of §3.
 //!
-//! Removal order matters for *which* cover comes out (not for
-//! correctness): we test the most specific rules first — larger patterns,
-//! then longer premises — so general rules survive and redundant
-//! specialisations go. [`removal_order`] is that order, shared with
-//! `ParCover`.
+//! The loop itself is `gfd-logic`'s cover engine ([`gfd_logic::cover`]),
+//! run inline: Lemma 6 pattern groups, each tested against its own context
+//! in one pass. Removal order matters for *which* cover comes out (not for
+//! correctness): the most specific rules are tested first — larger
+//! patterns, then longer premises, then the earlier rule of `Σ` — so
+//! general rules survive and redundant specialisations go. `ParCover`
+//! schedules the same groups and keeps the same survivors.
 
-use std::cmp::Reverse;
-
-use gfd_logic::{implies_refs, Gfd};
+use gfd_logic::{cover_survivors, Gfd};
 
 use crate::result::DiscoveredGfd;
 
-/// Sorts indices into `sigma` in cover removal order: most specific first
-/// — larger pattern (edges, then nodes), then longer premise — and, among
-/// equally specific rules, the earlier rule of `sigma` first. The index
-/// tie-break makes the order total, so which of two mutually implying
-/// rules survives never rests on a sort's tie order.
-pub fn removal_order(sigma: &[Gfd], order: &mut [usize]) {
-    // gfd-lint: allow(nondeterminism) — total: the last tie-break is the rule's index in sigma
-    order.sort_unstable_by_key(|&i| {
-        let g = &sigma[i];
-        let q = g.pattern();
-        (Reverse((q.edge_count(), q.node_count(), g.lhs().len())), i)
-    });
-}
-
 /// Computes a cover of `sigma`, returning the surviving indices (sorted).
 pub fn cover_indices(sigma: &[Gfd]) -> Vec<usize> {
-    let mut alive: Vec<bool> = vec![true; sigma.len()];
-    let mut order: Vec<usize> = (0..sigma.len()).collect();
-    removal_order(sigma, &mut order);
-
-    // One pass suffices: implication is monotone in Σ, so a rule implied by
-    // the survivors now would also have been implied by the larger set; and
-    // removing later rules cannot make an earlier removal unsound because
-    // removals only shrink the set *after* each test uses the current
-    // survivors. We still iterate to a fixpoint for safety (cheap: almost
-    // always 1 extra pass).
-    loop {
-        let mut changed = false;
-        for &i in &order {
-            if !alive[i] {
-                continue;
-            }
-            let rest = sigma
-                .iter()
-                .enumerate()
-                .filter(|(j, _)| *j != i && alive[*j])
-                .map(|(_, g)| g);
-            if implies_refs(rest, &sigma[i]) {
-                alive[i] = false;
-                changed = true;
-            }
-        }
-        if !changed {
-            break;
-        }
-    }
-    (0..sigma.len()).filter(|&i| alive[i]).collect()
+    cover_survivors(sigma)
 }
 
 /// Computes a cover of `sigma` (the paper's `SeqCover`).

@@ -11,10 +11,13 @@
 //! procedure inherits the solver's precision (sound, complete up to
 //! disequality chains — see `solver`). The cover computed from it is
 //! therefore *conservative*: a rule is only removed when implication is
-//! certain.
+//! certain. That cover is `gfd-logic`'s cover engine ([`gfd_logic::cover`])
+//! over `XGfd`: Lemma 6 pattern groups and one removal pass each, in
+//! `SeqCover`'s order.
 
 use std::ops::ControlFlow;
 
+use gfd_logic::{cover_survivors, CoverRule};
 use gfd_pattern::{for_each_embedding, EmbedOptions, Pattern};
 
 use crate::solver::{entails, is_conflicting};
@@ -50,11 +53,7 @@ fn instances<'a>(q: &Pattern, sigma: impl IntoIterator<Item = &'a XGfd>) -> Vec<
         preserve_pivot: false,
     };
     for phi in sigma {
-        let p = phi.pattern();
-        if p.node_count() > q.node_count() || p.edge_count() > q.edge_count() {
-            continue;
-        }
-        let _ = for_each_embedding(p, q, opts, |f| {
+        let _ = for_each_embedding(phi.pattern(), q, opts, |f| {
             let premises = phi.lhs().iter().map(|l| l.remap(f)).collect();
             let conclusion = match phi.rhs() {
                 XRhs::Lit(l) => Some(l.remap(f)),
@@ -126,41 +125,25 @@ pub fn ximplies_refs<'a>(sigma: impl IntoIterator<Item = &'a XGfd>, phi: &XGfd) 
     }
 }
 
-/// A conservative cover of `Σ`: repeatedly removes rules implied by the
-/// rest until a fixpoint, preferring to drop the most specific rules
-/// first (as `SeqCover`, §5.2). Returns surviving indices, sorted.
-pub fn xcover_indices(sigma: &[XGfd]) -> Vec<usize> {
-    let mut removed = vec![false; sigma.len()];
-    let mut order: Vec<usize> = (0..sigma.len()).collect();
-    order.sort_by_key(|&i| {
-        let g = &sigma[i];
-        std::cmp::Reverse((
-            g.pattern().edge_count(),
-            g.pattern().node_count(),
-            g.lhs().len(),
-        ))
-    });
-    loop {
-        let mut changed = false;
-        for &i in &order {
-            if removed[i] {
-                continue;
-            }
-            let rest = sigma
-                .iter()
-                .enumerate()
-                .filter(|(j, _)| *j != i && !removed[*j])
-                .map(|(_, g)| g);
-            if ximplies_refs(rest, &sigma[i]) {
-                removed[i] = true;
-                changed = true;
-            }
-        }
-        if !changed {
-            break;
-        }
+impl CoverRule for XGfd {
+    fn pattern(&self) -> &Pattern {
+        XGfd::pattern(self)
     }
-    (0..sigma.len()).filter(|&i| !removed[i]).collect()
+
+    fn premise_count(&self) -> usize {
+        self.lhs().len()
+    }
+
+    fn implied_by(&self, rest: &[&XGfd]) -> bool {
+        ximplies_refs(rest.iter().copied(), self)
+    }
+}
+
+/// A conservative cover of `Σ`, returning surviving indices, sorted:
+/// `gfd-logic`'s cover engine over [`ximplies_refs`], so the groups, the
+/// one-pass loop and the removal order are `SeqCover`'s.
+pub fn xcover_indices(sigma: &[XGfd]) -> Vec<usize> {
+    cover_survivors(sigma)
 }
 
 /// A conservative cover of `Σ`, returning the surviving rules.

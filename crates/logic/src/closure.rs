@@ -206,11 +206,6 @@ struct Rule {
     conclusion: Option<Literal>, // None encodes `false`
 }
 
-/// Quick necessary condition for `sub` to embed into `host` (size filter).
-fn may_embed(sub: &Pattern, host: &Pattern) -> bool {
-    sub.node_count() <= host.node_count() && sub.edge_count() <= host.edge_count()
-}
-
 /// Computes `closure(Σ_Q, X)` for pattern `q` (§3): the literals deduced
 /// from `x` by equality transitivity and by applying every GFD of `sigma`
 /// embedded in `q`, to a fixpoint.
@@ -231,9 +226,6 @@ pub fn closure_of_refs<'a>(
         preserve_pivot: false,
     };
     for phi in sigma {
-        if !may_embed(phi.pattern(), q) {
-            continue;
-        }
         let _ = for_each_embedding(phi.pattern(), q, opts, |f| {
             let premises = phi.lhs().iter().map(|l| l.remap(f)).collect();
             let conclusion = match phi.rhs() {

@@ -10,6 +10,9 @@
 //! * [`closure`] — `closure(Σ_Q, X)` chase over `(var, attr)` terms,
 //! * [`satisfiability`] — does `Σ` have a (non-vacuous) model?
 //! * [`implication`] — `Σ ⊨ φ`,
+//! * [`cover`] — the one cover engine: Lemma 6 pattern groups and a
+//!   one-pass removal loop, shared by `SeqCover`, `ParCover` and the
+//!   extended cover,
 //! * [`validation`] — `G ⊨ φ`, violation enumeration,
 //! * [`order`] — the reduction order `φ₁ ≪ φ₂` behind reduced GFDs (§4.1),
 //! * [`explain`] — curator-facing violation diagnoses (§1's use case).
@@ -18,6 +21,7 @@
 #![forbid(unsafe_code)]
 
 pub mod closure;
+pub mod cover;
 pub mod explain;
 pub mod gfd;
 pub mod implication;
@@ -28,6 +32,7 @@ pub mod text;
 pub mod validation;
 
 pub use closure::{closure_of, closure_of_refs, enforced, Closure, ClosureScratch};
+pub use cover::{cover_groups, cover_survivors, removal_order, CoverGroup, CoverRule};
 pub use explain::{explain_match, explain_violations, Cause, Explanation};
 pub use gfd::{Gfd, Rhs};
 pub use implication::{equivalent, implied_by_rest, implies, implies_refs};

@@ -30,7 +30,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 use gfd_core::{Covered, DiscoveredGfd, DiscoveryStats, HSpawnStats};
@@ -578,7 +578,8 @@ pub fn injected_panic(wave: u64, idx: usize) -> ! {
 
 /// One frequent pattern of the checkpointed frontier, with everything the
 /// level-wise loop needs to continue: support, inherited covered
-/// signatures, and the full match set.
+/// signatures, and the full match set — shared with the live run, not
+/// copied.
 #[derive(Clone, Debug)]
 pub struct FrontierNode {
     /// The pattern.
@@ -588,7 +589,7 @@ pub struct FrontierNode {
     /// Satisfied dependency signatures inherited down the chain.
     pub covered: Vec<Covered>,
     /// Verified matches.
-    pub matches: MatchSet,
+    pub matches: Arc<MatchSet>,
 }
 
 /// A completed-level snapshot of `par_dis_steal`: everything needed to
@@ -866,7 +867,7 @@ impl Checkpoint {
                 pattern,
                 support,
                 covered,
-                matches,
+                matches: Arc::new(matches),
             });
         }
         t.expect_tok("end")?;
@@ -1142,7 +1143,7 @@ mod tests {
                 pattern,
                 support: 2,
                 covered: vec![(vec![lit], vv), (vec![], lit)],
-                matches,
+                matches: Arc::new(matches),
             }],
             ..Checkpoint::default()
         };

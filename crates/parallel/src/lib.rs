@@ -15,8 +15,8 @@
 //! * [`pardis`] — parallel mining (§6.2): `gfd-core`'s levelwise driver
 //!   over either runtime ([`Runtime`]), with distributed incremental joins
 //!   and skew re-balancing on the barrier runtime,
-//! * [`parcover`] — parallel cover with Lemma 6 grouping and LPT or
-//!   group-stealing load balancing (§6.3).
+//! * [`parcover`] — parallel cover (§6.3): `gfd-logic`'s Lemma 6 cover
+//!   groups, assigned to workers by LPT scheduling.
 //!
 //! Ablations from §7 are configuration points: `ParGFDn` disables Lemma 4
 //! pruning (`DiscoveryConfig::enable_pruning = false`), `ParGFDnb` disables
@@ -35,7 +35,7 @@ pub mod steal;
 
 pub use cluster::{Clocks, Cluster, ClusterConfig, ExecMode, Task, TaskResult, WorkerCtx};
 pub use fault::{Checkpoint, FaultConfig, FaultError, FaultPlan, FaultStats, UnitFault};
-pub use parcover::{par_cover, par_cover_with_runtime, ParCoverReport};
+pub use parcover::{par_cover, ParCoverReport};
 pub use pardis::{par_dis, par_dis_with_runtime, ParDisReport, Runtime};
 pub use partition::{edge_cut, node_owner, split_ranges, EdgeCutPartition, Shard};
 pub use steal::{par_dis_steal, StealConfig, StealPool, Unit, UnitResult};

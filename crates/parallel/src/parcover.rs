@@ -1,35 +1,30 @@
 //! `ParCover` — parallel cover computation (§6.3).
 //!
-//! `Σ` is partitioned into **groups** of GFDs sharing one pattern
-//! isomorphism class. By Lemma 6, whether `Σ \ {φ} ⊨ φ` depends only on
-//! the GFDs embedded in `φ`'s pattern, so redundancy checks are pairwise
-//! independent *across* groups and each group can be processed by a
-//! different worker. Groups are keyed by the **unpivoted** canonical code:
-//! implication ignores pivots, so mutually-implying rules (which must have
-//! isomorphic patterns) always land in one group and cannot be removed
-//! concurrently by two workers.
+//! `gfd-logic`'s cover engine ([`gfd_logic::cover`]) splits `Σ` into
+//! **groups**, one per unpivoted pattern class, each with a fixed
+//! *context*: every rule of `Σ` embedded in the group pattern. By Lemma 6,
+//! whether `Σ \ {φ} ⊨ φ` depends only on those rules, so groups are
+//! independent and each can go to a different worker. Implication ignores
+//! pivots, so mutually implying rules (which must have isomorphic
+//! patterns) always land in one group and are never removed concurrently.
 //!
-//! Per group the worker receives the group's members plus its fixed
-//! *context* — every rule of `Σ` embeddable into the group pattern — and
-//! runs the sequential removal loop within the group. Work units are
-//! assigned to workers by longest-processing-time (LPT) list scheduling,
-//! the factor-2 makespan approximation the paper adopts from \[4\].
+//! `ParCover` assigns groups to workers by longest-processing-time (LPT)
+//! list scheduling, the factor-2 makespan approximation the paper adopts
+//! from \[4\]; each worker runs the engine's one-pass removal over its
+//! groups. The survivors are `SeqCover`'s, whatever the worker count or
+//! [`ExecMode`].
 //!
 //! The `ParCovern` ablation (§7) skips grouping: every candidate is tested
 //! against the whole of `Σ`, and a master pass re-validates proposed
 //! removals to keep the result a correct cover.
 
+use std::thread::ScopedJoinHandle;
 use std::time::{Duration, Instant};
 
-use crossbeam::deque::{Injector, Steal};
-use gfd_core::removal_order;
-use gfd_graph::FxHashMap;
-use gfd_logic::{implies_refs, Gfd};
-use gfd_pattern::{canonical_code_unpivoted, is_embedded, CanonicalCode};
+use gfd_logic::{cover_groups, implies_refs, CoverGroup, Gfd};
 
 use crate::cluster::ExecMode;
 use crate::fault::{self, FaultError};
-use crate::pardis::Runtime;
 
 /// Outcome of a parallel cover run.
 #[derive(Debug)]
@@ -48,53 +43,11 @@ pub struct ParCoverReport {
     pub work: u64,
 }
 
-/// One work unit: a pattern group plus its implication context.
-struct Group {
-    /// Indices of Σ members in this group (pattern class).
-    members: Vec<usize>,
-    /// Indices of Σ members embeddable into the group pattern (context for
-    /// the closure; includes the members themselves).
-    context: Vec<usize>,
-}
-
-/// Builds pattern groups and contexts.
-fn build_groups(sigma: &[Gfd]) -> Vec<Group> {
-    let mut by_code: FxHashMap<CanonicalCode, Vec<usize>> = FxHashMap::default();
-    for (i, g) in sigma.iter().enumerate() {
-        by_code
-            .entry(canonical_code_unpivoted(g.pattern()))
-            .or_default()
-            .push(i);
-    }
-    // Deterministic order.
-    // gfd-lint: allow(nondeterminism) — drained into a Vec that is fully sorted by canonical code on the next line; hash order never escapes
-    let mut classes: Vec<(CanonicalCode, Vec<usize>)> = by_code.into_iter().collect();
-    classes.sort_by(|a, b| a.0.cmp(&b.0));
-
-    classes
-        .into_iter()
-        .map(|(_, members)| {
-            let host = sigma[members[0]].pattern();
-            let context: Vec<usize> = sigma
-                .iter()
-                .enumerate()
-                .filter(|(_, g)| {
-                    g.pattern().node_count() <= host.node_count()
-                        && g.pattern().edge_count() <= host.edge_count()
-                        && is_embedded(g.pattern(), host)
-                })
-                .map(|(i, _)| i)
-                .collect();
-            Group { members, context }
-        })
-        .collect()
-}
-
 /// LPT assignment of groups to `n` workers; returns per-worker group lists.
-fn lpt_assign(groups: &[Group], n: usize) -> Vec<Vec<usize>> {
+fn lpt_assign(groups: &[CoverGroup], n: usize) -> Vec<Vec<usize>> {
     let mut order: Vec<usize> = (0..groups.len()).collect();
     // Cost model: members × context (implication tests × closure size).
-    let cost = |g: &Group| (g.members.len() * g.context.len().max(1)) as u64;
+    let cost = |g: &CoverGroup| (g.members.len() * g.context.len().max(1)) as u64;
     order.sort_by_key(|&i| std::cmp::Reverse(cost(&groups[i])));
     let mut loads = vec![0u64; n];
     let mut assignment: Vec<Vec<usize>> = vec![Vec::new(); n];
@@ -106,37 +59,37 @@ fn lpt_assign(groups: &[Group], n: usize) -> Vec<Vec<usize>> {
     assignment
 }
 
-/// Sequential within-group removal: returns members found redundant plus
-/// the premises-examined work count.
-fn process_group(sigma: &[Gfd], group: &Group) -> (Vec<usize>, u64) {
-    let mut removed: Vec<usize> = Vec::new();
+/// One worker's share: runs the engine's removal pass over the groups
+/// `gids`; returns the removed rules, the premises examined, and the
+/// worker's wall time.
+fn run_groups(sigma: &[Gfd], groups: &[CoverGroup], gids: &[usize]) -> (Vec<usize>, u64, Duration) {
+    let t0 = Instant::now();
+    let mut removed = Vec::new();
     let mut work = 0u64;
-    // SeqCover's removal order, so both keep the same survivors.
-    let mut order = group.members.clone();
-    removal_order(sigma, &mut order);
-    loop {
-        let mut changed = false;
-        for &i in &order {
-            if removed.contains(&i) {
-                continue;
-            }
-            let rest: Vec<&Gfd> = group
-                .context
-                .iter()
-                .copied()
-                .filter(|&j| j != i && !removed.contains(&j))
-                .map(|j| &sigma[j])
-                .collect();
-            work += rest.len() as u64;
-            if implies_refs(rest, &sigma[i]) {
-                removed.push(i);
-                changed = true;
-            }
-        }
-        if !changed {
-            return (removed, work);
-        }
+    for &gi in gids {
+        let (r, w) = groups[gi].redundant(sigma);
+        removed.extend(r);
+        work += w;
     }
+    // Wall time in its own binding: the modelled `work` channel never
+    // touches the clock.
+    let wall = t0.elapsed();
+    (removed, work, wall)
+}
+
+/// Joins guarded worker threads in worker order; a panicked or lost
+/// worker becomes [`FaultError::WorkerLost`].
+fn join_workers<T>(
+    handles: Vec<ScopedJoinHandle<'_, Result<T, String>>>,
+) -> Result<Vec<T>, FaultError> {
+    handles
+        .into_iter()
+        .enumerate()
+        .map(|(w, h)| match h.join() {
+            Ok(Ok(r)) => Ok(r),
+            Ok(Err(_)) | Err(_) => Err(FaultError::WorkerLost { worker: w }),
+        })
+        .collect()
 }
 
 /// Computes a cover of `sigma` in parallel with `n` workers.
@@ -148,201 +101,58 @@ pub fn par_cover(
     mode: ExecMode,
     grouping: bool,
 ) -> Result<ParCoverReport, FaultError> {
-    par_cover_with_runtime(sigma, n, mode, grouping, Runtime::Barrier)
-}
-
-/// [`par_cover`] on the chosen runtime. [`Runtime::Steal`] replaces the
-/// static LPT pre-assignment with dynamic stealing of whole groups from a
-/// shared injector deque: workers pull the next-heaviest unprocessed group
-/// the moment they go idle, so a mispredicted group cost never strands a
-/// worker the way a bad LPT split does. In [`ExecMode::Simulated`] the
-/// greedy min-load assignment over the cost-sorted order *is* the steal
-/// schedule, so the simulated path is shared with LPT; the ungrouped
-/// `ParCovern` ablation is runtime-independent.
-pub fn par_cover_with_runtime(
-    sigma: &[Gfd],
-    n: usize,
-    mode: ExecMode,
-    grouping: bool,
-    runtime: Runtime,
-) -> Result<ParCoverReport, FaultError> {
     assert!(n > 0);
     let wall0 = Instant::now();
     if !grouping {
         return par_cover_ungrouped(sigma, n, mode, wall0);
     }
-    match (runtime, mode) {
-        (Runtime::Steal, ExecMode::Threads) => par_cover_steal_threads(sigma, n, wall0),
-        _ => par_cover_grouped(sigma, n, mode, wall0),
-    }
-}
-
-/// Steals one group id, retrying on [`Steal::Retry`] (the real
-/// `crossbeam` injector loses races under contention).
-fn steal_group(q: &Injector<usize>) -> Option<usize> {
-    loop {
-        match q.steal() {
-            Steal::Success(gi) => return Some(gi),
-            Steal::Empty => return None,
-            Steal::Retry => continue,
-        }
-    }
-}
-
-/// Runs `n` threaded workers, worker `w` draining `queues[w]` of group
-/// ids; LPT passes one private queue per worker, stealing passes the same
-/// shared queue `n` times. Returns per-worker (removed, work, time).
-fn drain_group_queues(
-    sigma: &[Gfd],
-    groups: &[Group],
-    queues: &[&Injector<usize>],
-) -> Result<Vec<(Vec<usize>, u64, Duration)>, FaultError> {
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = queues
-            .iter()
-            .map(|queue| {
-                let queue = *queue;
-                scope.spawn(move || {
-                    // fault-boundary: a panic inside group processing
-                    // becomes an Err result instead of tearing down the
-                    // scope; the worker stops pulling further groups.
-                    fault::run_guarded(|| {
-                        let t0 = Instant::now();
-                        let mut removed = Vec::new();
-                        let mut work = 0u64;
-                        while let Some(gi) = steal_group(queue) {
-                            let (r, w) = process_group(sigma, &groups[gi]);
-                            removed.extend(r);
-                            work += w;
-                        }
-                        // Wall time in its own binding: the modelled
-                        // `work` channel never touches the clock.
-                        let wall = t0.elapsed();
-                        (removed, work, wall)
-                    })
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .enumerate()
-            .map(|(w, h)| match h.join() {
-                Ok(Ok(r)) => Ok(r),
-                Ok(Err(_)) | Err(_) => Err(FaultError::WorkerLost { worker: w }),
-            })
-            .collect()
-    })
-}
-
-/// Assembles the grouped report from per-worker results.
-fn grouped_report(
-    sigma: &[Gfd],
-    group_count: usize,
-    worker_results: Vec<(Vec<usize>, u64, Duration)>,
-    master_prep: Duration,
-    wall0: Instant,
-) -> ParCoverReport {
-    let mut removed_all: Vec<usize> = Vec::new();
-    let mut work = 0u64;
-    let mut makespan = Duration::ZERO;
-    for (removed, wk, d) in worker_results {
-        removed_all.extend(removed);
-        work += wk;
-        makespan = makespan.max(d);
-    }
-    let cover: Vec<usize> = (0..sigma.len())
-        .filter(|i| !removed_all.contains(i))
-        .collect();
-    let wall = wall0.elapsed();
-    ParCoverReport {
-        cover,
-        wall,
-        simulated: makespan + master_prep,
-        groups: group_count,
-        work,
-    }
-}
-
-/// Dynamic group stealing: one shared injector of group ids in
-/// descending-cost order, `n` workers draining it.
-fn par_cover_steal_threads(
-    sigma: &[Gfd],
-    n: usize,
-    wall0: Instant,
-) -> Result<ParCoverReport, FaultError> {
     let m0 = Instant::now();
-    let groups = build_groups(sigma);
-    let mut order: Vec<usize> = (0..groups.len()).collect();
-    let cost = |g: &Group| (g.members.len() * g.context.len().max(1)) as u64;
-    order.sort_by_key(|&i| std::cmp::Reverse(cost(&groups[i])));
-    let queue: Injector<usize> = Injector::new();
-    for gi in order {
-        queue.push(gi);
-    }
-    let master_prep = m0.elapsed();
-
-    let shared: Vec<&Injector<usize>> = vec![&queue; n];
-    let per_worker = drain_group_queues(sigma, &groups, &shared)?;
-    Ok(grouped_report(
-        sigma,
-        groups.len(),
-        per_worker,
-        master_prep,
-        wall0,
-    ))
-}
-
-fn par_cover_grouped(
-    sigma: &[Gfd],
-    n: usize,
-    mode: ExecMode,
-    wall0: Instant,
-) -> Result<ParCoverReport, FaultError> {
-    let m0 = Instant::now();
-    let groups = build_groups(sigma);
+    let groups = cover_groups(sigma);
     let assignment = lpt_assign(&groups, n);
     let master_prep = m0.elapsed();
 
     let per_worker: Vec<(Vec<usize>, u64, Duration)> = match mode {
         ExecMode::Simulated => assignment
             .iter()
-            .map(|gids| {
-                let t0 = Instant::now();
-                let mut removed = Vec::new();
-                let mut work = 0u64;
-                for &gi in gids {
-                    let (r, w) = process_group(sigma, &groups[gi]);
-                    removed.extend(r);
-                    work += w;
-                }
-                // Wall time in its own binding, away from modelled work.
-                let wall = t0.elapsed();
-                (removed, work, wall)
-            })
+            .map(|gids| run_groups(sigma, &groups, gids))
             .collect(),
-        ExecMode::Threads => {
-            // Private per-worker queues preserve the static LPT schedule.
-            let queues: Vec<Injector<usize>> = assignment
+        // Each worker gets its LPT group list directly.
+        ExecMode::Threads => std::thread::scope(|scope| {
+            let groups = &groups;
+            let handles = assignment
                 .iter()
                 .map(|gids| {
-                    let q = Injector::new();
-                    for &gi in gids {
-                        q.push(gi);
-                    }
-                    q
+                    scope.spawn(move || {
+                        // fault-boundary: a panic inside group processing
+                        // becomes an Err result instead of tearing down the
+                        // scope; the worker's other groups are abandoned
+                        // and the run reports the worker lost.
+                        fault::run_guarded(|| run_groups(sigma, groups, gids))
+                    })
                 })
                 .collect();
-            let views: Vec<&Injector<usize>> = queues.iter().collect();
-            drain_group_queues(sigma, &groups, &views)?
-        }
+            join_workers(handles)
+        })?,
     };
-    Ok(grouped_report(
-        sigma,
-        groups.len(),
-        per_worker,
-        master_prep,
-        wall0,
-    ))
+
+    let mut alive = vec![true; sigma.len()];
+    let mut work = 0u64;
+    let mut makespan = Duration::ZERO;
+    for (removed, wk, d) in per_worker {
+        for i in removed {
+            alive[i] = false;
+        }
+        work += wk;
+        makespan = makespan.max(d);
+    }
+    let wall = wall0.elapsed();
+    Ok(ParCoverReport {
+        cover: (0..sigma.len()).filter(|&i| alive[i]).collect(),
+        wall,
+        simulated: makespan + master_prep,
+        groups: groups.len(),
+        work,
+    })
 }
 
 fn par_cover_ungrouped(
@@ -386,7 +196,7 @@ fn par_cover_ungrouped(
         ExecMode::Threads => {
             let results: Result<Vec<(Vec<usize>, Duration)>, FaultError> =
                 std::thread::scope(|scope| {
-                    let handles: Vec<_> = chunks
+                    let handles = chunks
                         .iter()
                         .map(|chunk| {
                             scope.spawn(move || {
@@ -402,14 +212,7 @@ fn par_cover_ungrouped(
                             })
                         })
                         .collect();
-                    handles
-                        .into_iter()
-                        .enumerate()
-                        .map(|(w, h)| match h.join() {
-                            Ok(Ok(r)) => Ok(r),
-                            Ok(Err(_)) | Err(_) => Err(FaultError::WorkerLost { worker: w }),
-                        })
-                        .collect()
+                    join_workers(handles)
                 });
             for (w, (removed, d)) in results?.into_iter().enumerate() {
                 work += chunks[w].len() as u64 * per_test;
@@ -531,20 +334,6 @@ mod tests {
     }
 
     #[test]
-    fn steal_runtime_cover_matches_lpt_cover() {
-        let sigma = mixed_sigma();
-        let seq = gfd_core::cover_indices(&sigma);
-        for n in [1, 2, 4] {
-            let rep = par_cover_with_runtime(&sigma, n, ExecMode::Threads, true, Runtime::Steal)
-                .expect("fault-free");
-            check_is_cover(&sigma, &rep.cover);
-            assert_eq!(rep.cover.len(), seq.len(), "n={n}");
-            assert!(rep.groups >= 3);
-            assert!(rep.work > 0);
-        }
-    }
-
-    #[test]
     fn ungrouped_cover_is_valid() {
         let sigma = mixed_sigma();
         let rep = par_cover(&sigma, 3, ExecMode::Simulated, false).expect("fault-free");
@@ -580,8 +369,8 @@ mod tests {
 
     #[test]
     fn lpt_balances_group_costs() {
-        let groups: Vec<Group> = (0..7)
-            .map(|i| Group {
+        let groups: Vec<CoverGroup> = (0..7)
+            .map(|i| CoverGroup {
                 members: (0..(i + 1)).collect(),
                 context: (0..(i + 1)).collect(),
             })

@@ -1717,7 +1717,7 @@ impl Waves<'_> {
             .unzip();
         self.unharvested = driver.restore_frontier(nodes);
         for (&id, ms) in self.unharvested.iter().zip(matches) {
-            self.live.insert(id, Arc::new(ms));
+            self.live.insert(id, ms);
         }
         Ok(ck.level + 1)
     }
@@ -1742,7 +1742,7 @@ impl Waves<'_> {
                         pattern: node.pattern.clone(),
                         support: node.support,
                         covered: node.covered.clone(),
-                        matches: (**ms).clone(),
+                        matches: Arc::clone(ms),
                     })
                 })
                 .collect();
