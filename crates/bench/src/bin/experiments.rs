@@ -11,7 +11,7 @@
 
 use gfd_bench::{
     exp_ablation, exp_baselines, exp_cover, exp_extensions, exp_parallel, exp_params, exp_rules,
-    Scale,
+    perf_cfg, perf_cfg_scale, Scale,
 };
 use gfd_datagen::KbProfile;
 
@@ -358,8 +358,7 @@ fn run(name: &str, scale: Scale) {
             use std::ops::ControlFlow;
 
             use gfd_core::{
-                seq_dis, BoundValidator, CandidateEvaluator, DiscoveryConfig, MatchTable,
-                TableEvaluator,
+                seq_dis, BoundValidator, CandidateEvaluator, MatchTable, TableEvaluator,
             };
             use gfd_datagen::Scenario;
             use gfd_graph::AttrId;
@@ -369,19 +368,10 @@ fn run(name: &str, scale: Scale) {
 
             let sc = Scenario::named("large").expect("large scenario");
             let g = sc.build();
-            // Mirrors perf.rs `perf_cfg_scale` + validate mode's
-            // min_confidence 0.5: approximate positives are the rules with
-            // real matches and real violators.
-            let mut mining = DiscoveryConfig::new(3, (g.node_count() / 100).max(100));
-            mining.max_edges = 2;
-            mining.max_lhs_size = 1;
-            mining.values_per_attr = 2;
-            mining.max_catalog_literals = 8;
-            mining.wildcard_min_labels = 0;
-            mining.wildcard_root = false;
-            mining.max_matches_per_pattern = 400_000;
-            mining.max_patterns_per_level = 64;
-            mining.max_negative_candidates = 8;
+            // `perf --validate`'s catalog: `perf_cfg_scale` at
+            // min_confidence 0.5, so approximate positives are the rules
+            // with real matches and real violators.
+            let mut mining = perf_cfg_scale(g.node_count());
             mining.min_confidence = 0.5;
             let result = seq_dis(&g, &mining);
             let rules: Vec<Gfd> = result.gfds.iter().map(|d| d.gfd.clone()).collect();
@@ -473,6 +463,121 @@ fn run(name: &str, scale: Scale) {
                 full_work as f64 / bound_work as f64,
             );
         }
+        // CI smoke: the violation monitor on the tiny catalog that
+        // `perf --validate` mines (min_confidence 0.5, so it has real
+        // violators). Seeded corruption batches and their undo batches,
+        // then three topology batches; after every batch each rule's
+        // maintained violations must equal a fresh monitor's.
+        "monitor-smoke" => {
+            use gfd_core::seq_dis;
+            use gfd_datagen::Scenario;
+            use gfd_graph::{NodeId, Value};
+            use gfd_incremental::{MonitorRule, UpdateBatch, ViolationMonitor};
+            use rand::{rngs::StdRng, RngExt, SeedableRng};
+
+            let sc = Scenario::named("tiny").expect("tiny scenario");
+            let g = sc.build();
+            let mut mining = perf_cfg(g.node_count());
+            mining.min_confidence = 0.5;
+            let rules: Vec<MonitorRule> = seq_dis(&g, &mining)
+                .gfds
+                .into_iter()
+                .map(|d| MonitorRule::Base(d.gfd))
+                .collect();
+            assert!(!rules.is_empty(), "monitor smoke mined no rules");
+            let mut mon = ViolationMonitor::new(&g, rules.clone());
+            let initial = mon.total_violations();
+            assert!(initial > 0, "the monitor smoke catalog has no violators");
+            println!(
+                "monitor-smoke: |V|={} |E|={} rules={} initial_violations={initial}",
+                g.node_count(),
+                g.edge_count(),
+                rules.len(),
+            );
+            let apply = |mon: &mut ViolationMonitor, batch: &UpdateBatch, what: &str| {
+                let before = mon.stats().bound_queries;
+                let delta = mon.apply(batch);
+                let fresh = ViolationMonitor::new(mon.graph(), rules.clone());
+                for i in 0..rules.len() {
+                    assert!(
+                        mon.violations(i).eq(fresh.violations(i)),
+                        "{what}: rule {i}'s violations differ from a fresh monitor's"
+                    );
+                }
+                println!(
+                    "monitor-smoke {what}: +{} -{} affected_pivots={} bound_queries={}",
+                    delta.added(),
+                    delta.removed(),
+                    delta.affected_pivots,
+                    mon.stats().bound_queries - before,
+                );
+            };
+
+            // Four corruptions per batch on distinct attributed nodes, each
+            // undone by the next batch.
+            let junk = Value::Str(g.interner().symbol("__corrupted"));
+            let targets: Vec<NodeId> = g.nodes().filter(|&v| !g.attrs(v).is_empty()).collect();
+            let mut rng = StdRng::seed_from_u64(sc.seed() ^ 0x3017);
+            for round in 0..4 {
+                let (mut corrupt, mut undo) = (UpdateBatch::new(), UpdateBatch::new());
+                let mut picked: Vec<NodeId> = Vec::new();
+                while picked.len() < 4.min(targets.len()) {
+                    let v = targets[rng.random_range(0..targets.len())];
+                    if picked.contains(&v) {
+                        continue;
+                    }
+                    picked.push(v);
+                    let attrs = g.attrs(v);
+                    let (attr, old) = attrs[rng.random_range(0..attrs.len())];
+                    corrupt.set_attr(v, attr, junk);
+                    undo.set_attr(v, attr, old);
+                }
+                apply(&mut mon, &corrupt, &format!("corrupt {round}"));
+                apply(&mut mon, &undo, &format!("undo {round}"));
+                assert_eq!(mon.total_violations(), initial, "undo {round}");
+            }
+
+            // Topology: an edge at the highest-degree node that copies the
+            // label and direction of one of its edges to another node of
+            // the same label, its removal, then a new node with that edge.
+            let hub = g
+                .nodes()
+                .max_by_key(|&v| (g.degree(v), std::cmp::Reverse(v)))
+                .expect("non-empty graph");
+            let e = *g
+                .edges()
+                .iter()
+                .find(|e| e.src == hub || e.dst == hub)
+                .expect("the hub has an edge");
+            let other = if e.src == hub { e.dst } else { e.src };
+            let oriented = |a: NodeId, b: NodeId| if e.src == hub { (a, b) } else { (b, a) };
+            let peer = g
+                .nodes_with_label(g.node_label(other))
+                .iter()
+                .copied()
+                .find(|&w| {
+                    let (s, d) = oriented(hub, w);
+                    w != hub && !g.out_nbrs_labeled(s, e.label).contains(&d)
+                })
+                .expect("a node the hub is not linked to");
+            let (s, d) = oriented(hub, peer);
+            let mut add = UpdateBatch::new();
+            add.add_edge(s, d, e.label);
+            apply(&mut mon, &add, "add edge");
+            let mut remove = UpdateBatch::new();
+            remove.remove_edge(s, d, e.label);
+            apply(&mut mon, &remove, "remove edge");
+            assert_eq!(mon.total_violations(), initial, "remove edge");
+            let mut grow = UpdateBatch::new();
+            let fresh = grow.add_node(mon.graph().node_count(), g.node_label(hub));
+            let (s, d) = oriented(fresh, other);
+            grow.add_edge(s, d, e.label);
+            apply(&mut mon, &grow, "add node");
+            println!(
+                "monitor-smoke: every batch equals a fresh monitor; bound_queries={}",
+                mon.stats().bound_queries
+            );
+        }
         other => {
             eprintln!("unknown experiment `{other}`; known: {ALL:?}");
             std::process::exit(2);
@@ -506,7 +611,7 @@ fn main() {
         eprintln!(
             "usage: experiments [--scale X] <all | fig5a … fig5l | fig6 | fig7 | fig8 | runtime | smoke | smoke-steal>"
         );
-        eprintln!("known experiments: {ALL:?} plus `runtime` (barrier vs steal), `smoke`, `smoke-steal`, `lattice-smoke`, `chaos-smoke`, `large-smoke`, and `validate-smoke` (CI sanity runs)");
+        eprintln!("known experiments: {ALL:?} plus `runtime` (barrier vs steal), `smoke`, `smoke-steal`, `lattice-smoke`, `chaos-smoke`, `large-smoke`, `validate-smoke`, and `monitor-smoke` (CI sanity runs)");
         std::process::exit(2);
     }
     println!(

@@ -15,7 +15,7 @@
 //! realloc count). Scenario names resolve through [`Scenario::named`], so
 //! the million-node power-law family (`large`, `xlarge`) is available next
 //! to the classic `tiny`/`small`/`medium` — scale scenarios get a bounded
-//! mining config ([`perf_cfg_scale`]).
+//! mining config ([`gfd_bench::perf_cfg_scale`]).
 //!
 //! `--validate N` switches to the demand-driven validation benchmark:
 //! mine the scenario's rules once, then answer `N` seed-pinned per-entity
@@ -36,49 +36,14 @@ use std::ops::ControlFlow;
 use std::sync::Arc;
 use std::time::Instant;
 
-use gfd_core::{
-    seq_dis, BoundValidator, CandidateEvaluator, DiscoveryConfig, MatchTable, TableEvaluator,
-};
+use gfd_bench::{perf_cfg, perf_cfg_scale};
+use gfd_core::{seq_dis, BoundValidator, CandidateEvaluator, MatchTable, TableEvaluator};
 use gfd_datagen::Scenario;
 use gfd_graph::{AttrId, Graph, NodeId};
 use gfd_logic::{Gfd, Literal};
 use gfd_parallel::{par_dis_with_runtime, ClusterConfig, ExecMode, Runtime};
 use gfd_pattern::{CompiledPattern, MatchSet, PLabel};
 use rand::{rngs::StdRng, RngExt, SeedableRng};
-
-/// Mining configuration for the classic perf scenarios: deep enough that
-/// all three hot layers (matching, spawning, evaluation) carry real
-/// weight.
-fn perf_cfg(nodes: usize) -> DiscoveryConfig {
-    let mut cfg = DiscoveryConfig::new(4, (nodes / 40).max(10));
-    cfg.max_edges = 3;
-    cfg.max_lhs_size = 2;
-    cfg.values_per_attr = 2;
-    cfg.max_catalog_literals = 12;
-    cfg.wildcard_min_labels = 0;
-    cfg.wildcard_root = false;
-    cfg.max_matches_per_pattern = 50_000;
-    cfg.max_patterns_per_level = 600;
-    cfg
-}
-
-/// Bounded mining configuration for the million-node power-law family:
-/// shallow patterns (`k = 3`, two edges), a high support floor, and hard
-/// caps on stored matches — the point of `large`/`xlarge` runs is graph
-/// loading, matching throughput, and peak memory, not lattice depth.
-fn perf_cfg_scale(nodes: usize) -> DiscoveryConfig {
-    let mut cfg = DiscoveryConfig::new(3, (nodes / 100).max(100));
-    cfg.max_edges = 2;
-    cfg.max_lhs_size = 1;
-    cfg.values_per_attr = 2;
-    cfg.max_catalog_literals = 8;
-    cfg.wildcard_min_labels = 0;
-    cfg.wildcard_root = false;
-    cfg.max_matches_per_pattern = 400_000;
-    cfg.max_patterns_per_level = 64;
-    cfg.max_negative_candidates = 8;
-    cfg
-}
 
 fn usage() -> ! {
     eprintln!(

@@ -20,11 +20,12 @@ use crate::{bench_cfg, bench_kb, secs, Scale};
 /// Mines a rule set from a YAGO2-style KB (keeping rules with *selective*
 /// pivots — a concrete pivot label is what gives §4.1's locality its
 /// leverage), then applies batches of attribute edits of growing size.
-/// The monitor re-checks only pivots within pattern radius of the touched
-/// nodes; the baseline rebuilds the indexed graph (the same `O(|G|)`
-/// freeze the monitor pays) and re-validates every rule from scratch.
-/// "affected" sums candidate pivots over rules — the matching work that
-/// locality saves is `(pivots − affected)` anchored enumerations.
+/// The monitor patches the edits into its graph in place and re-checks
+/// only the matches that map a touched node to a variable whose literals
+/// read the edited attribute; the baseline rebuilds the indexed graph (an
+/// `O(|G|)` freeze the monitor never runs for attribute edits) and
+/// re-validates every rule from scratch. "affected" counts the distinct
+/// `(rule, pivot)` pairs among the re-checked matches.
 pub fn ext_incremental(scale: Scale) -> Table {
     let g = bench_kb(KbProfile::Yago2, scale);
     let mut cfg = bench_cfg(&g, 3);

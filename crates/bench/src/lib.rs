@@ -92,6 +92,41 @@ pub fn bench_cfg(g: &Graph, k: usize) -> DiscoveryConfig {
     cfg
 }
 
+/// Mining configuration of the `perf` binary for the classic scenarios
+/// (`tiny`, `small`, `medium`): deep enough that all three hot layers
+/// (matching, spawning, evaluation) carry real weight.
+pub fn perf_cfg(nodes: usize) -> DiscoveryConfig {
+    let mut cfg = DiscoveryConfig::new(4, (nodes / 40).max(10));
+    cfg.max_edges = 3;
+    cfg.max_lhs_size = 2;
+    cfg.values_per_attr = 2;
+    cfg.max_catalog_literals = 12;
+    cfg.wildcard_min_labels = 0;
+    cfg.wildcard_root = false;
+    cfg.max_matches_per_pattern = 50_000;
+    cfg.max_patterns_per_level = 600;
+    cfg
+}
+
+/// Bounded mining configuration of the `perf` binary for the million-node
+/// power-law family: shallow patterns (`k = 3`, two edges), a high
+/// support floor, and hard caps on stored matches — the point of
+/// `large`/`xlarge` runs is graph loading, matching throughput, and peak
+/// memory, not lattice depth.
+pub fn perf_cfg_scale(nodes: usize) -> DiscoveryConfig {
+    let mut cfg = DiscoveryConfig::new(3, (nodes / 100).max(100));
+    cfg.max_edges = 2;
+    cfg.max_lhs_size = 1;
+    cfg.values_per_attr = 2;
+    cfg.max_catalog_literals = 8;
+    cfg.wildcard_min_labels = 0;
+    cfg.wildcard_root = false;
+    cfg.max_matches_per_pattern = 400_000;
+    cfg.max_patterns_per_level = 64;
+    cfg.max_negative_candidates = 8;
+    cfg
+}
+
 /// Seconds with two decimals for table cells.
 pub fn secs(d: std::time::Duration) -> f64 {
     (d.as_secs_f64() * 100.0).round() / 100.0

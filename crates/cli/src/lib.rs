@@ -723,7 +723,7 @@ fn cmd_monitor(mut a: Args) -> Result<String, CliError> {
         let delta = monitor.apply(batch);
         let _ = writeln!(
             out,
-            "batch {}: +{} violations, -{} repaired ({} pivots re-checked); total {}",
+            "batch {}: +{} violations, -{} repaired ({} rule pivots re-checked); total {}",
             batch_no,
             delta.added(),
             delta.removed(),

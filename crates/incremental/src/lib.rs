@@ -4,10 +4,10 @@
 //! general (Theorem 1(b)) and `O(|Σ|·|G|^k)` even for `k`-bounded rules
 //! (Prop. 2). Knowledge bases, however, change by small increments. This
 //! crate maintains the violation set of a rule set across update batches
-//! by exploiting the pivot locality the paper builds into its support
-//! definition (§4.1): a match pivoted at `z` lives entirely within the
-//! `d_Q`-neighbourhood of `h(z)`, so an update can only affect matches
-//! whose pivots are within `d_Q` hops of the touched nodes.
+//! by exploiting that `G ⊨ φ` is decided one match at a time (§2) and
+//! that no update relabels a node: a batch can change the verdict of a
+//! match only if the match contains a node the batch touches, so only
+//! those matches are re-checked.
 //!
 //! * [`update`] — [`Update`] operations and [`UpdateBatch`]es,
 //! * [`state`] — a mutable graph copy ([`GraphState`]) that applies a
@@ -15,9 +15,9 @@
 //!   for batches that change topology,
 //! * [`monitor`] — the [`ViolationMonitor`]: one owned graph patched in
 //!   place by attribute-only batches, stored violations keyed by pivot,
-//!   bounded BFS to the affected pivots, pivot-anchored re-matching,
-//!   per-batch [`ViolationDelta`]s. Monitors base and extended GFDs
-//!   together.
+//!   per-variable plans seeded at the touched nodes (an attribute write
+//!   only at the variables whose literals read the attribute), per-batch
+//!   [`ViolationDelta`]s. Monitors base and extended GFDs together.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

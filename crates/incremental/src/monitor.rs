@@ -1,40 +1,44 @@
 //! The violation monitor: incremental `G ⊨ Σ` maintenance.
 //!
-//! §4.1 introduces pivots precisely for data locality: "for any `v` in
-//! graph `G`, if there exists a match `h` of `Q` in `G` such that
-//! `h(z) = v`, then `h(x̄)` consists of only nodes in the `d_Q`-neighbor
-//! of `v`", where `d_Q` is the pattern's radius at the pivot. The monitor
-//! turns that observation into incremental validation:
+//! `G ⊨ φ` is decided one match at a time (§2): every match `h` of `Q`
+//! must satisfy `X → l`. No update changes a node's label, so a batch can
+//! change a verdict only for a match that contains a node the batch
+//! touches. The monitor re-checks exactly those matches:
 //!
-//! 1. applying an update batch touches a node set `T`;
-//! 2. any match gained or lost — or whose literal values changed — must
-//!    contain a touched node, so its pivot lies within `d_Q` (undirected)
-//!    hops of `T` in the pre- or post-update graph;
-//! 3. re-matching is therefore restricted to pivots in
-//!    `BFS(G_old, T, d_Q) ∪ BFS(G_new, T, d_Q)` — everything else keeps
-//!    its stored violation status.
+//! 1. each rule keeps one compiled plan per pattern variable
+//!    ([`CompiledPattern::compile_bound`]); seeding the plan of `x` at a
+//!    node `v` enumerates exactly the matches with `h(x) = v`;
+//! 2. an attribute op on `(v, A)` can flip a match only if the match maps
+//!    `v` to a variable whose literals read `A`. A read-set index
+//!    `A → [(rule, x)]`, built with the plans, names those anchors, and
+//!    the op is patched into the monitor's [`Graph`] in place;
+//! 3. a batch that adds nodes or adds or removes edges rebuilds the graph
+//!    through [`GraphState`] and anchors every variable of every rule at
+//!    each touched node: on the graph before the batch to find the
+//!    matches it lost, and on the graph after it to find the matches it
+//!    gained or changed;
+//! 4. per rule, a re-checked match's old verdict is its membership in the
+//!    stored violation set and its new verdict is `match_satisfies` on the
+//!    new graph; a match the new graph no longer has is gone.
 //!
-//! Most curation batches only set or remove attributes. Such a batch is
-//! patched into the monitor's [`Graph`] in place, and because the topology
-//! did not move, `G_old` and `G_new` have the same distances: one bounded
-//! BFS from `T` finds every affected pivot, and a write costs its touched
-//! neighbourhood rather than `|G|`. A batch that adds nodes or adds or
-//! removes edges rebuilds the graph through [`GraphState`] and runs the
-//! BFS on both sides.
+//! Every other match keeps its stored verdict, so a write costs the
+//! matches through its touched nodes. The same path serves every batch
+//! kind.
 //!
 //! The monitor accepts base GFDs and extended GFDs (`gfd-extended`) in
 //! one rule set, and reports per-batch deltas (violations introduced and
 //! repaired), which is what a knowledge-base curation pipeline consumes.
 
+use std::cmp::Ordering;
 use std::collections::{BTreeMap, BTreeSet};
 use std::ops::ControlFlow;
 use std::sync::Arc;
 
 use gfd_core::BoundValidator;
-use gfd_extended::XGfd;
-use gfd_graph::{Graph, NodeId};
-use gfd_logic::Gfd;
-use gfd_pattern::{CompiledPattern, MatcherScratch, PLabel, Pattern};
+use gfd_extended::{Operand, XGfd, XRhs};
+use gfd_graph::{AttrId, Graph, NodeId};
+use gfd_logic::{Gfd, Literal, Rhs};
+use gfd_pattern::{CompiledPattern, MatcherScratch, Pattern, Var};
 
 use crate::state::GraphState;
 use crate::update::{Update, UpdateBatch};
@@ -64,6 +68,48 @@ impl MonitorRule {
             MonitorRule::Extended(x) => gfd_extended::match_satisfies(x, m, g),
         }
     }
+
+    /// The `(variable, attribute)` terms the premise and consequence read,
+    /// sorted and deduplicated. A match's verdict depends on the graph
+    /// only through these terms and the match itself, so an attribute
+    /// write can flip a match only through one of them.
+    pub(crate) fn read_terms(&self) -> Vec<(Var, AttrId)> {
+        let mut terms = Vec::new();
+        match self {
+            MonitorRule::Base(gfd) => {
+                let rhs = match gfd.rhs() {
+                    Rhs::Lit(l) => Some(l),
+                    Rhs::False => None,
+                };
+                for lit in gfd.lhs().iter().chain(&rhs) {
+                    match *lit {
+                        Literal::Const { var, attr, .. } => terms.push((var, attr)),
+                        Literal::VarVar {
+                            lvar,
+                            lattr,
+                            rvar,
+                            rattr,
+                        } => terms.extend([(lvar, lattr), (rvar, rattr)]),
+                    }
+                }
+            }
+            MonitorRule::Extended(x) => {
+                let rhs = match x.rhs() {
+                    XRhs::Lit(l) => Some(l),
+                    XRhs::False => None,
+                };
+                for lit in x.lhs().iter().chain(&rhs) {
+                    terms.push((lit.lhs.var, lit.lhs.attr));
+                    if let Operand::Term(t, _) = lit.rhs {
+                        terms.push((t.var, t.attr));
+                    }
+                }
+            }
+        }
+        terms.sort_unstable();
+        terms.dedup();
+        terms
+    }
 }
 
 impl From<Gfd> for MonitorRule {
@@ -92,8 +138,8 @@ pub struct RuleDelta {
 pub struct ViolationDelta {
     /// One delta per monitored rule, in rule order.
     pub per_rule: Vec<RuleDelta>,
-    /// Pivot candidates re-checked (the work incrementality saves is
-    /// `total pivots − affected pivots` match enumerations).
+    /// Distinct `(rule, pivot image)` pairs among the matches the batch
+    /// re-checked: the pivots whose stored violations it could change.
     pub affected_pivots: usize,
 }
 
@@ -114,31 +160,63 @@ impl ViolationDelta {
     }
 }
 
-/// Multi-source undirected BFS, bounded at `depth`: every node within
-/// `depth` hops of a source, with its distance, in visit order. Sources
-/// outside the graph's node range are ignored (they exist only on the
-/// other side of the update). Costs the reached neighbourhood, not `|V|`.
-fn bounded_bfs(g: &Graph, sources: &[NodeId], depth: usize) -> Vec<(NodeId, u32)> {
-    let mut seen: BTreeSet<NodeId> = BTreeSet::new();
-    let mut reached: Vec<(NodeId, u32)> = Vec::new();
-    for &s in sources {
-        if s.index() < g.node_count() && seen.insert(s) {
-            reached.push((s, 0));
+/// A probe a batch runs: rule index, pattern variable, and the node the
+/// variable is seeded at.
+type Anchor = (usize, Var, NodeId);
+
+/// A match keyed by its pivot image, the order of the stored violations.
+type Keyed = (NodeId, Vec<NodeId>);
+
+/// One rule's compiled plans: one rooted at each pattern variable.
+#[derive(Clone)]
+struct RulePlans {
+    /// Rooted at the pivot: the initial enumeration and every entity read
+    /// use it.
+    pivot: Arc<CompiledPattern>,
+    /// Rooted at each other variable, in variable order.
+    others: Arc<[CompiledPattern]>,
+}
+
+impl RulePlans {
+    /// The plan rooted at `x`: seeded at `v`, it enumerates the matches
+    /// with `h(x) = v`.
+    fn rooted_at(&self, x: Var) -> &CompiledPattern {
+        match x.cmp(&self.pivot.start_var()) {
+            Ordering::Less => &self.others[x],
+            Ordering::Equal => &self.pivot,
+            Ordering::Greater => &self.others[x - 1],
         }
     }
-    let mut head = 0;
-    while let Some(&(v, d)) = reached.get(head) {
-        head += 1;
-        if d as usize >= depth {
-            continue;
-        }
-        for &u in g.out_nbrs(v).iter().chain(g.in_nbrs(v)) {
-            if seen.insert(u) {
-                reached.push((u, d + 1));
+}
+
+/// Every match of one rule in `g` through `anchors` (that rule's anchors,
+/// sorted), keyed by pivot image, sorted and deduplicated. An anchor at a
+/// node `g` does not have (one the batch adds, probed on the graph before
+/// it) finds nothing.
+fn matches_through(
+    plans: &RulePlans,
+    g: &Graph,
+    anchors: &[Anchor],
+    scratch: &mut MatcherScratch,
+) -> Vec<Keyed> {
+    let pivot = plans.pivot.start_var();
+    let mut found: Vec<Keyed> = Vec::new();
+    for by_var in anchors.chunk_by(|a, b| a.1 == b.1) {
+        let plan = plans.rooted_at(by_var[0].1);
+        let mut matcher = plan.matcher_from(g, std::mem::take(scratch));
+        for &(_, _, v) in by_var {
+            if v.index() < g.node_count() {
+                let _ = matcher.for_each_at(v, |m| {
+                    found.push((m[pivot], m.to_vec()));
+                    ControlFlow::Continue(())
+                });
             }
         }
+        *scratch = matcher.into_scratch();
     }
-    reached
+    found.sort_unstable();
+    found.dedup();
+    found
 }
 
 /// Panics unless every node an update names exists when it applies: the
@@ -166,22 +244,27 @@ fn check_node_ids(batch: &UpdateBatch, mut nodes: usize) {
     }
 }
 
-/// Demand-path counters: how monitor queries were routed and what they
-/// cost. All values are pure functions of the input sequence.
+/// Demand-path counters: what monitor queries and batches probed. All
+/// values are pure functions of the input sequence.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct MonitorStats {
-    /// Per-pivot bound queries answered (one per `(rule, pivot)` probe).
+    /// Anchored probes: one per `(rule, variable, node)` anchor a batch
+    /// re-checks (a topology batch runs each on the graph before and
+    /// after it), plus one per rule per
+    /// [`ViolationMonitor::validate_entity`] call.
     pub bound_queries: u64,
-    /// Times a batch crossed the crossover heuristic and fell back to a
-    /// full per-rule re-enumeration.
+    /// Never incremented: a batch re-checks only the matches through its
+    /// anchors and has no full re-enumeration fallback. The field stays
+    /// because `perfbench/src/workload.rs` still reads it.
     pub bound_fallbacks: u64,
     /// Deterministic memory-touch meter of the bound literal evaluation
     /// (see [`BoundValidator::work`]).
     pub validation_work: u64,
-    /// Plans recompiled (fingerprint misses) across construction and
-    /// catalog refreshes.
+    /// Rules whose plan sets were compiled (fingerprint misses) across
+    /// construction and catalog refreshes.
     pub plans_compiled: u64,
-    /// Plans served from the fingerprint cache instead of recompiling.
+    /// Rules whose plan sets were served from the fingerprint cache
+    /// instead of recompiling.
     pub plan_cache_hits: u64,
 }
 
@@ -194,30 +277,25 @@ pub struct EntityVerdict {
     pub violations: Vec<Vec<NodeId>>,
 }
 
-/// When a batch's affected-pivot set grows past this fraction of the
-/// pivot's whole label class, the per-pivot bound path stops paying for
-/// its set bookkeeping and the monitor falls back to one full
-/// re-enumeration of the rule.
-const FALLBACK_NUM: usize = 1;
-const FALLBACK_DEN: usize = 2;
-
 /// Incrementally maintained violation sets for a rule set over an
 /// evolving graph.
 pub struct ViolationMonitor {
     rules: Vec<MonitorRule>,
-    /// Per rule: the pattern compiled once and reused for every
-    /// re-validation pass (plans are graph-independent). `Arc`-shared with
-    /// `plan_cache` so a catalog refresh reuses unchanged rules' plans.
-    compiled: Vec<Arc<CompiledPattern>>,
-    /// Compiled plans keyed by rule fingerprint — survives catalog
-    /// refreshes, so re-registering an unchanged rule costs a map lookup,
-    /// not a plan compilation.
-    plan_cache: BTreeMap<String, Arc<CompiledPattern>>,
-    radii: Vec<Option<usize>>,
+    /// Per rule: one plan per pattern variable (plans are
+    /// graph-independent). `Arc`-shared with `plan_cache` so a catalog
+    /// refresh reuses unchanged rules' plans.
+    plans: Vec<RulePlans>,
+    /// Plan sets keyed by rule fingerprint — survives catalog refreshes,
+    /// so re-registering an unchanged rule costs a map lookup, not a plan
+    /// compilation.
+    plan_cache: BTreeMap<String, RulePlans>,
+    /// Read-set index: per attribute, the `(rule, variable)` pairs whose
+    /// literals read it, in rule and then variable order.
+    readers: BTreeMap<AttrId, Vec<(usize, Var)>>,
     graph: Graph,
     /// Per rule: violating matches keyed `(pivot image, match)`, so the
     /// violations pivoted at one node are one contiguous range.
-    violations: Vec<BTreeSet<(NodeId, Vec<NodeId>)>>,
+    violations: Vec<BTreeSet<Keyed>>,
     stats: MonitorStats,
 }
 
@@ -234,9 +312,9 @@ impl ViolationMonitor {
     pub fn new(g: &Graph, rules: Vec<MonitorRule>) -> ViolationMonitor {
         let mut mon = ViolationMonitor {
             rules: Vec::new(),
-            compiled: Vec::new(),
+            plans: Vec::new(),
             plan_cache: BTreeMap::new(),
-            radii: Vec::new(),
+            readers: BTreeMap::new(),
             graph: g.clone(),
             violations: Vec::new(),
             stats: MonitorStats::default(),
@@ -253,27 +331,51 @@ impl ViolationMonitor {
     }
 
     fn install_rules(&mut self, rules: Vec<MonitorRule>) {
-        self.radii = rules.iter().map(|r| r.pattern().radius()).collect();
-        self.compiled = rules
+        // The uncached rules' pivot plans are compiled first and the other
+        // variables' plans after them, so the pivot plans that every
+        // entity read walks lie together in memory.
+        let keys: Vec<String> = rules.iter().map(rule_fingerprint).collect();
+        let pivots: Vec<Option<Arc<CompiledPattern>>> = rules
             .iter()
-            .map(|r| {
-                let key = rule_fingerprint(r);
-                if let Some(cp) = self.plan_cache.get(&key) {
-                    self.stats.plan_cache_hits += 1;
-                    Arc::clone(cp)
-                } else {
-                    self.stats.plans_compiled += 1;
-                    let cp = Arc::new(CompiledPattern::new(r.pattern()));
-                    self.plan_cache.insert(key, Arc::clone(&cp));
-                    cp
-                }
+            .zip(&keys)
+            .map(|(r, key)| {
+                (!self.plan_cache.contains_key(key))
+                    .then(|| Arc::new(CompiledPattern::new(r.pattern())))
             })
             .collect();
+        self.plans = rules
+            .iter()
+            .zip(keys)
+            .zip(pivots)
+            .map(|((r, key), pivot)| {
+                if let Some(plans) = self.plan_cache.get(&key) {
+                    self.stats.plan_cache_hits += 1;
+                    return plans.clone();
+                }
+                self.stats.plans_compiled += 1;
+                let q = r.pattern();
+                let plans = RulePlans {
+                    pivot: pivot.expect("the cache only grows, so the rule was uncached above"),
+                    others: (0..q.node_count())
+                        .filter(|&x| x != q.pivot())
+                        .map(|x| CompiledPattern::compile_bound(q, x))
+                        .collect(),
+                };
+                self.plan_cache.insert(key, plans.clone());
+                plans
+            })
+            .collect();
+        self.readers = BTreeMap::new();
+        for (i, rule) in rules.iter().enumerate() {
+            for (x, attr) in rule.read_terms() {
+                self.readers.entry(attr).or_default().push((i, x));
+            }
+        }
         self.violations = Vec::with_capacity(rules.len());
-        for (rule, cp) in rules.iter().zip(&self.compiled) {
+        for (rule, plans) in rules.iter().zip(&self.plans) {
             let pivot = rule.pattern().pivot();
             let mut set = BTreeSet::new();
-            let _ = cp.matcher(&self.graph).for_each(|m| {
+            let _ = plans.pivot.matcher(&self.graph).for_each(|m| {
                 if !rule.match_satisfies(m, &self.graph) {
                     set.insert((m[pivot], m.to_vec()));
                 }
@@ -289,7 +391,7 @@ impl ViolationMonitor {
         &self.rules
     }
 
-    /// Demand-path routing and work counters.
+    /// Demand-path probe and work counters.
     pub fn stats(&self) -> MonitorStats {
         self.stats
     }
@@ -306,15 +408,16 @@ impl ViolationMonitor {
         let mut validator = BoundValidator::new(&self.graph);
         for (i, rule) in self.rules.iter().enumerate() {
             self.stats.bound_queries += 1;
+            let plan = &self.plans[i].pivot;
             let violations: Vec<Vec<NodeId>> = match rule {
                 MonitorRule::Base(gfd) => {
                     let mut ms = gfd_pattern::MatchSet::new(gfd.pattern().node_count());
-                    validator.violations_at(gfd, &self.compiled[i], v, &mut ms);
+                    validator.violations_at(gfd, plan, v, &mut ms);
                     ms.iter().map(<[NodeId]>::to_vec).collect()
                 }
                 MonitorRule::Extended(_) => {
                     let mut found = Vec::new();
-                    let mut matcher = self.compiled[i].matcher(&self.graph);
+                    let mut matcher = plan.matcher(&self.graph);
                     let _ = matcher.for_each_at(v, |m| {
                         if !rule.match_satisfies(m, &self.graph) {
                             found.push(m.to_vec());
@@ -358,7 +461,8 @@ impl ViolationMonitor {
 
     /// Applies a batch and reports the violation delta. An
     /// attribute-only batch is patched into the graph in place; a batch
-    /// that adds nodes or adds or removes edges rebuilds it.
+    /// that adds nodes or adds or removes edges rebuilds it. Either way,
+    /// only the matches through the batch's anchors are re-checked.
     ///
     /// # Panics
     /// Panics, before applying any op, if an op names a node that does
@@ -366,145 +470,103 @@ impl ViolationMonitor {
     /// ids a batch's own node additions receive).
     pub fn apply(&mut self, batch: &UpdateBatch) -> ViolationDelta {
         check_node_ids(batch, self.graph.node_count());
-        let max_radius = self.radii.iter().filter_map(|r| *r).max().unwrap_or(0);
-        let attr_only = batch
+        let (mut anchors, before) = self.patch(batch);
+        anchors.sort_unstable();
+        anchors.dedup();
+        self.stats.bound_queries += anchors.len() as u64;
+
+        let mut delta = ViolationDelta {
+            per_rule: vec![RuleDelta::default(); self.rules.len()],
+            affected_pivots: 0,
+        };
+        let mut scratch = MatcherScratch::new();
+        for group in anchors.chunk_by(|a, b| a.0 == b.0) {
+            let i = group[0].0;
+            let rule = &self.rules[i];
+            // Only a topology batch can lose a match; the matches through
+            // the anchors on the graph before it are the candidates.
+            let lost = match &before {
+                Some(old) => matches_through(&self.plans[i], old, group, &mut scratch),
+                None => Vec::new(),
+            };
+            let now = matches_through(&self.plans[i], &self.graph, group, &mut scratch);
+            let mut pivots: Vec<NodeId> = lost.iter().chain(&now).map(|&(p, _)| p).collect();
+            pivots.sort_unstable();
+            pivots.dedup();
+            delta.affected_pivots += pivots.len();
+
+            let stored = &mut self.violations[i];
+            let (mut added, mut removed) = (Vec::new(), Vec::new());
+            for key in lost {
+                if now.binary_search(&key).is_err() && stored.remove(&key) {
+                    removed.push(key.1);
+                }
+            }
+            for key in now {
+                let violates = !rule.match_satisfies(&key.1, &self.graph);
+                if violates && !stored.contains(&key) {
+                    added.push(key.1.clone());
+                    stored.insert(key);
+                } else if !violates && stored.remove(&key) {
+                    removed.push(key.1);
+                }
+            }
+            // Deltas list matches in match order.
+            added.sort_unstable();
+            removed.sort_unstable();
+            delta.per_rule[i] = RuleDelta { added, removed };
+        }
+        delta
+    }
+
+    /// Applies `batch` to the graph and returns its anchors, with the
+    /// graph before the batch if the batch changed topology. An
+    /// attribute op on `(v, A)` anchors the `(rule, variable)` pairs that
+    /// read `A` and whose label admits `v`, and is patched in place. A
+    /// batch with any topology op rebuilds the graph and anchors every
+    /// variable of every rule whose label admits a touched node.
+    fn patch(&mut self, batch: &UpdateBatch) -> (Vec<Anchor>, Option<Graph>) {
+        let mut anchors = Vec::new();
+        let topology = batch
             .ops()
             .iter()
-            .all(|u| matches!(u, Update::SetAttr { .. } | Update::RemoveAttr { .. }));
-        // Nodes within `max_radius` hops of the touched set in the pre- or
-        // post-update graph, each with its smaller distance.
-        let reached = if attr_only {
-            let mut touched = Vec::with_capacity(batch.len());
-            for u in batch.ops() {
-                match *u {
-                    Update::SetAttr { node, attr, value } => {
-                        self.graph.set_attr_by_id(node, attr, value);
-                        touched.push(node);
-                    }
-                    Update::RemoveAttr { node, attr } => {
-                        self.graph.remove_attr_by_id(node, attr);
-                        touched.push(node);
-                    }
-                    _ => unreachable!("attribute-only batch"),
-                }
-            }
-            touched.sort_unstable();
-            touched.dedup();
-            bounded_bfs(&self.graph, &touched, max_radius)
-        } else {
+            .any(|u| !matches!(u, Update::SetAttr { .. } | Update::RemoveAttr { .. }));
+        if topology {
             let mut state = GraphState::from_graph(&self.graph);
             let touched = state.apply_batch(batch);
-            let new_graph = state.freeze();
-            let mut reached = bounded_bfs(&self.graph, &touched, max_radius);
-            reached.extend(bounded_bfs(&new_graph, &touched, max_radius));
-            reached.sort_unstable();
-            reached.dedup_by_key(|&mut (v, _)| v);
-            self.graph = new_graph;
-            reached
-        };
-        let graph = &self.graph;
-
-        let mut delta = ViolationDelta::default();
-        let mut affected_total = 0usize;
-        let mut scratch = MatcherScratch::new();
-
-        for (i, rule) in self.rules.iter().enumerate() {
-            let q = rule.pattern();
-            let pivot = q.pivot();
-            let pivot_label = q.node_label(pivot);
-            // Size of the pivot's whole label class — the cost of a full
-            // re-enumeration, and the denominator of the crossover test.
-            let class_size = match pivot_label {
-                PLabel::Is(l) => graph.nodes_with_label(l).len(),
-                PLabel::Wildcard => graph.node_count(),
-            };
-            // Affected pivot candidates for this rule's radius. A pattern
-            // without a finite radius (disconnected — excluded by §4 but
-            // tolerated here) always takes the full path.
-            let affected: Option<Vec<NodeId>> = match self.radii[i] {
-                Some(dq) => {
-                    let candidates: Vec<NodeId> = reached
-                        .iter()
-                        .filter(|&&(v, d)| {
-                            d as usize <= dq && pivot_label.admits(graph.node_label(v))
-                        })
-                        .map(|&(v, _)| v)
-                        .collect();
-                    // Crossover: once the touched neighbourhood covers a
-                    // large fraction of the label class, per-pivot probing
-                    // plus stale-set bookkeeping costs more than one full
-                    // sweep of the class.
-                    if candidates.len() * FALLBACK_DEN > class_size * FALLBACK_NUM {
-                        None
-                    } else {
-                        Some(candidates)
+            let before = std::mem::replace(&mut self.graph, state.freeze());
+            for (i, rule) in self.rules.iter().enumerate() {
+                let q = rule.pattern();
+                for x in 0..q.node_count() {
+                    for &v in &touched {
+                        if q.node_label(x).admits(self.graph.node_label(v)) {
+                            anchors.push((i, x, v));
+                        }
                     }
-                }
-                None => None,
-            };
-
-            // Re-enumerate matches anchored at affected pivots (bound
-            // path), or the whole label class (fallback), reusing the
-            // rule's compiled plan and one set of scratch buffers.
-            let mut fresh: BTreeSet<(NodeId, Vec<NodeId>)> = BTreeSet::new();
-            let mut matcher = self.compiled[i].matcher_from(graph, scratch);
-            let mut sink = |m: &[NodeId]| {
-                if !rule.match_satisfies(m, graph) {
-                    fresh.insert((m[pivot], m.to_vec()));
-                }
-                ControlFlow::Continue(())
-            };
-            match &affected {
-                Some(pivots) => {
-                    self.stats.bound_queries += pivots.len() as u64;
-                    for &v in pivots {
-                        let _ = matcher.for_each_at(v, &mut sink);
-                    }
-                }
-                None => {
-                    self.stats.bound_fallbacks += 1;
-                    let _ = matcher.for_each(&mut sink);
                 }
             }
-            scratch = matcher.into_scratch();
-            affected_total += affected.as_ref().map_or(class_size, Vec::len);
-
-            // Stored violations whose pivot is affected are stale (all of
-            // them, after a full re-enumeration).
-            let stored = &mut self.violations[i];
-            let stale: BTreeSet<(NodeId, Vec<NodeId>)> = match &affected {
-                Some(pivots) => {
-                    let stale: BTreeSet<_> = pivots
-                        .iter()
-                        .flat_map(|&v| {
-                            stored
-                                .range((v, Vec::new())..)
-                                .take_while(move |(p, _)| *p == v)
-                        })
-                        .cloned()
-                        .collect();
-                    for key in &stale {
-                        stored.remove(key);
-                    }
-                    stale
-                }
-                None => std::mem::take(stored),
-            };
-
-            // A violation that persists through the batch is neither added
-            // nor removed. Deltas list matches in match order.
-            let mut rd = RuleDelta {
-                added: fresh.difference(&stale).map(|(_, m)| m.clone()).collect(),
-                removed: stale.difference(&fresh).map(|(_, m)| m.clone()).collect(),
-            };
-            rd.added.sort_unstable();
-            rd.removed.sort_unstable();
-            stored.extend(fresh);
-            delta.per_rule.push(rd);
+            return (anchors, Some(before));
         }
-
-        delta.affected_pivots = affected_total;
-        delta
+        for u in batch.ops() {
+            let (node, attr) = match *u {
+                Update::SetAttr { node, attr, value } => {
+                    self.graph.set_attr_by_id(node, attr, value);
+                    (node, attr)
+                }
+                Update::RemoveAttr { node, attr } => {
+                    self.graph.remove_attr_by_id(node, attr);
+                    (node, attr)
+                }
+                _ => unreachable!("attribute-only batch"),
+            };
+            let label = self.graph.node_label(node);
+            for &(i, x) in self.readers.get(&attr).into_iter().flatten() {
+                if self.rules[i].pattern().node_label(x).admits(label) {
+                    anchors.push((i, x, node));
+                }
+            }
+        }
+        (anchors, None)
     }
 }
 
@@ -546,13 +608,17 @@ mod tests {
         let (g, rules) = fixture();
         let mut mon = ViolationMonitor::new(&g, rules);
         assert!(mon.is_clean());
-        // Adding an unrelated attribute changes nothing.
+        // Adding an unrelated attribute changes nothing: no rule reads
+        // `name`, so the write anchors no probe at all.
         let name = g.interner().attr("name");
         let mut batch = UpdateBatch::new();
         batch.set_attr(NodeId::from_index(0), name, Value::Int(1));
+        let probes = mon.stats().bound_queries;
         let delta = mon.apply(&batch);
         assert!(delta.is_unchanged());
         assert!(mon.is_clean());
+        assert_eq!(mon.stats().bound_queries, probes);
+        assert_eq!(delta.affected_pivots, 0);
     }
 
     #[test]
@@ -614,9 +680,9 @@ mod tests {
         let mut batch = UpdateBatch::new();
         batch.set_attr(NodeId::from_index(0), ty, Value::Int(0));
         let delta = mon.apply(&batch);
-        // Radius of a single-edge pattern is 1: only the touched person and
-        // its neighbourhood are candidate pivots, not all 6 persons.
-        assert!(delta.affected_pivots <= 2, "{}", delta.affected_pivots);
+        // Only the one match through the touched person is re-checked: one
+        // pivot of one rule, not all 6 persons.
+        assert_eq!(delta.affected_pivots, 1);
     }
 
     #[test]
@@ -805,10 +871,33 @@ mod tests {
         }
     }
 
-    /// A batch touching most of the graph crosses the crossover heuristic
-    /// and falls back to one full re-enumeration — with identical deltas.
+    /// The read set holds every premise and consequence term of base and
+    /// extended rules, and only those.
     #[test]
-    fn wide_batch_falls_back_to_full_path() {
+    fn read_terms_cover_premise_and_consequence() {
+        use gfd_extended::{CmpOp, Term, XLiteral, XRhs};
+        let (g, rules) = fixture();
+        let ty = g.interner().lookup_attr("type").unwrap();
+        assert_eq!(rules[0].read_terms(), vec![(0, ty), (1, ty)]);
+        let (a, b) = (AttrId(7), AttrId(3));
+        let x: MonitorRule = XGfd::new(
+            rules[0].pattern().clone(),
+            vec![XLiteral::cmp_terms(
+                Term::new(1, a),
+                CmpOp::Lt,
+                Term::new(0, b),
+                2,
+            )],
+            XRhs::False,
+        )
+        .into();
+        assert_eq!(x.read_terms(), vec![(0, b), (1, a)]);
+    }
+
+    /// A batch touching every creator re-checks the matches through each
+    /// of them, on the same path as a one-node batch.
+    #[test]
+    fn wide_batch_rechecks_every_touched_match() {
         let (g, rules) = fixture();
         let ty = g.interner().lookup_attr("type").unwrap();
         let mut mon = ViolationMonitor::new(&g, rules);
@@ -820,7 +909,5 @@ mod tests {
         // Every film creator lost its "producer" type: films 0, 2, 4 each
         // gain one violation (albums are unconstrained).
         assert_eq!(delta.added(), 3);
-        assert_eq!(mon.stats().bound_fallbacks, 1);
-        assert_eq!(delta.affected_pivots, 6);
     }
 }

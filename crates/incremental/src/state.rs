@@ -6,7 +6,7 @@
 //! therefore goes through a [`GraphState`]: copy the graph out, apply the
 //! batch, and freeze a new graph. That round trip costs `O(|G|)`, so the
 //! monitor takes it only for topology batches; an attribute-only batch
-//! costs its touched neighbourhood.
+//! costs the matches through its touched nodes.
 
 use std::sync::Arc;
 

@@ -12,7 +12,7 @@ use gfd_extended::{CmpOp, Term, XGfd, XLiteral, XRhs};
 use gfd_graph::{AttrId, Edge, Graph, GraphBuilder, LabelId, NodeId, Value};
 use gfd_incremental::{GraphState, MonitorRule, Update, UpdateBatch, ViolationMonitor};
 use gfd_logic::{Gfd, Literal, Rhs};
-use gfd_pattern::{for_each_match, PLabel, Pattern};
+use gfd_pattern::{for_each_match, End, Extension, PLabel, Pattern};
 use proptest::prelude::*;
 
 const NODES: usize = 8;
@@ -45,11 +45,18 @@ fn base_graph(vals: &[i64], edges: &[(usize, usize)]) -> Graph {
     b.build()
 }
 
-/// The monitored rule set: one base equality rule, one negative rule, one
-/// extended order rule — all on the single-edge `person-rel->person`
-/// pattern, pivoted at the source — and the equality rule again pivoted
-/// at the destination, so stored violations are keyed by a pivot image
-/// that is not the match's first node.
+/// The monitored rule set:
+/// - on the single-edge `person-rel->person` pattern, pivoted at the
+///   source: one base equality rule, one negative rule and one extended
+///   order rule; and the equality rule again pivoted at the destination,
+///   so stored violations are keyed by a pivot image that is not the
+///   match's first node;
+/// - on the two-edge path `person-rel->person-rel->person`: an equality
+///   rule pivoted at the source whose premise reads the far variable, so
+///   a write two hops from the pivot must be anchored there; and a
+///   literal-free negative rule pivoted in the middle, whose verdicts
+///   move only with the topology;
+/// - a single-node wildcard rule and a disconnected two-node rule.
 fn rules(g: &Graph) -> Vec<MonitorRule> {
     let person = PLabel::Is(g.interner().lookup_label("person").unwrap());
     let rel = PLabel::Is(g.interner().lookup_label("rel").unwrap());
@@ -57,6 +64,11 @@ fn rules(g: &Graph) -> Vec<MonitorRule> {
     let t = g.interner().lookup_attr("t").unwrap();
     let even = Value::Str(g.interner().symbol("even"));
     let q = Pattern::edge(person, rel, person);
+    let path = q.extend(&Extension {
+        src: End::Var(1),
+        dst: End::New(person),
+        label: rel,
+    });
     // Related nodes with t="even" on the source must agree on v.
     let agree = |q: Pattern| {
         Gfd::new(
@@ -88,6 +100,29 @@ fn rules(g: &Graph) -> Vec<MonitorRule> {
                 Term::new(0, v),
                 2,
             )),
+        )
+        .into(),
+        // Two-hop path: x2.t="even" → x0.v = x2.v.
+        Gfd::new(
+            path.clone(),
+            vec![Literal::constant(2, t, even)],
+            Rhs::Lit(Literal::var_var(0, v, 2, v)),
+        )
+        .into(),
+        // No two-hop path at all, pivoted in the middle.
+        Gfd::new(path.with_pivot(1), vec![], Rhs::False).into(),
+        // Any node with t="even" has v = 0.
+        Gfd::new(
+            Pattern::single(PLabel::Wildcard),
+            vec![Literal::constant(0, t, even)],
+            Rhs::Lit(Literal::constant(0, v, Value::Int(0))),
+        )
+        .into(),
+        // Two persons, unconnected: equal v implies equal t.
+        Gfd::new(
+            Pattern::new(vec![person, person], vec![], 0),
+            vec![Literal::var_var(0, v, 1, v)],
+            Rhs::Lit(Literal::var_var(0, t, 1, t)),
         )
         .into(),
     ]
@@ -130,6 +165,7 @@ fn op_strategy() -> impl Strategy<Value = ProtoOp> {
         (0usize..16, 0i64..5).prop_map(|(n, v)| ProtoOp::SetV(n, v)),
         (0usize..16).prop_map(ProtoOp::SetT),
         (0usize..16).prop_map(ProtoOp::RemoveV),
+        (0usize..16).prop_map(ProtoOp::RemoveT),
     ]
 }
 

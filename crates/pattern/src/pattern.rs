@@ -256,34 +256,6 @@ impl Pattern {
         count == self.nodes.len()
     }
 
-    /// The radius `d_Q` at the pivot: the longest undirected shortest path
-    /// from the pivot to any node (§4.1). Returns `None` if some node is
-    /// unreachable from the pivot.
-    pub fn radius(&self) -> Option<usize> {
-        let mut dist = vec![usize::MAX; self.nodes.len()];
-        let mut queue = std::collections::VecDeque::new();
-        dist[self.pivot] = 0;
-        queue.push_back(self.pivot);
-        let mut max = 0;
-        while let Some(v) = queue.pop_front() {
-            for &(e, _) in &self.adj[v] {
-                let edge = self.edges[e];
-                for w in [edge.src, edge.dst] {
-                    if dist[w] == usize::MAX {
-                        dist[w] = dist[v] + 1;
-                        max = max.max(dist[w]);
-                        queue.push_back(w);
-                    }
-                }
-            }
-        }
-        if dist.contains(&usize::MAX) {
-            None
-        } else {
-            Some(max)
-        }
-    }
-
     /// Applies a single-edge [`Extension`], returning the extended pattern
     /// `Q'`. The pivot and all existing variables are preserved; a new node
     /// becomes variable `self.node_count()`.
@@ -424,13 +396,11 @@ mod tests {
         assert_eq!(p.node_count(), 1);
         assert_eq!(p.edge_count(), 0);
         assert!(p.is_connected());
-        assert_eq!(p.radius(), Some(0));
 
         let q = Pattern::edge(l(0), l(1), l(2));
         assert_eq!(q.node_count(), 2);
         assert_eq!(q.edge_count(), 1);
         assert_eq!(q.pivot(), 0);
-        assert_eq!(q.radius(), Some(1));
         assert_eq!(q.out_degree(0), 1);
         assert_eq!(q.in_degree(0), 0);
         assert_eq!(q.in_degree(1), 1);
@@ -476,7 +446,7 @@ mod tests {
     }
 
     #[test]
-    fn connectivity_and_radius() {
+    fn connectivity() {
         // star: 0 -> 1, 0 -> 2
         let p = Pattern::new(
             vec![l(0), l(1), l(2)],
@@ -495,12 +465,9 @@ mod tests {
             0,
         );
         assert!(p.is_connected());
-        assert_eq!(p.radius(), Some(1));
-        assert_eq!(p.with_pivot(1).radius(), Some(2));
 
         let disconnected = Pattern::new(vec![l(0), l(1)], vec![], 0);
         assert!(!disconnected.is_connected());
-        assert_eq!(disconnected.radius(), None);
     }
 
     #[test]

@@ -2,14 +2,15 @@
 //! (`gfd::incremental`).
 //!
 //! Validation is the expensive leg of enforcement — co-W[1]-hard in
-//! general (Theorem 1(b)) — but §4.1's pivot locality makes *maintenance*
-//! cheap: an update only disturbs matches whose pivot lies within the
-//! pattern radius of a touched node. This example mines a rule cover from
-//! a YAGO2-style knowledge base, attaches a [`ViolationMonitor`], and
-//! replays a curation session: corruption arrives in batches, each batch
-//! reports exactly the violations it introduced or repaired, and the
-//! monitor's affected-pivot counter shows how little of the graph each
-//! batch forces it to re-examine.
+//! general (Theorem 1(b)) — but *maintenance* is cheap: a GFD holds match
+//! by match (§2), so an update can only change the verdict of a match
+//! that contains a node it touches, and an attribute edit only of a match
+//! whose literals read that attribute there. This example mines a rule
+//! cover from a YAGO2-style knowledge base, attaches a
+//! [`ViolationMonitor`], and replays a curation session: corruption
+//! arrives in batches, each batch reports exactly the violations it
+//! introduced or repaired, and the monitor's affected-pivot counter shows
+//! how few rule pivots each batch forces it to re-examine.
 //!
 //! Run with: `cargo run --release --example kb_monitoring`
 
@@ -86,7 +87,7 @@ fn main() {
     ] {
         let delta = monitor.apply(&batch);
         println!(
-            "\nbatch [{name}]: +{} violations, -{} repaired, {} pivots re-checked (of {} nodes)",
+            "\nbatch [{name}]: +{} violations, -{} repaired, {} rule pivots re-checked (of {} nodes)",
             delta.added(),
             delta.removed(),
             delta.affected_pivots,
@@ -100,8 +101,8 @@ fn main() {
                 println!("  rule {r} repaired at match {m:?}");
             }
         }
-        // Locality: the monitor re-examines a neighbourhood of the
-        // touched nodes, not the whole graph.
+        // Locality: the monitor re-checks only the matches through the
+        // touched node, not the whole graph.
         assert!(delta.affected_pivots < monitor.graph().node_count() / 2);
     }
 
