@@ -3,30 +3,29 @@
 //! Runs discovery on a named, seed-pinned datagen scenario and emits one
 //! JSON record so PRs can track a perf trajectory in `BENCH_<n>.json`:
 //!
-//! * `--runtime seq` (default) — `SeqDis`, with per-stage wall-clock
-//!   (matching, spawning, evaluation);
+//! * `--runtime seq` (default) — `SeqDis`;
 //! * `--runtime barrier|steal` — `ParDis` on the chosen parallel runtime,
-//!   with wall time, modelled simulated time, wave/barrier count, and the
+//!   adding the modelled schedule: simulated time, wave count and the
 //!   deterministic `work_makespan` (the CI regression gate rides this —
-//!   it cannot flake under machine load the way wall-clock does).
+//!   it cannot flake under machine load the way wall-clock does);
+//! * `--validate N` — mine the scenario's rules once, then answer `N`
+//!   seed-pinned per-entity queries through the bound path
+//!   ([`gfd_core::BoundValidator`]): wall latency percentiles and the
+//!   deterministic `validation_work`, next to one metered
+//!   full-materialization pass for the ratio.
 //!
-//! Every record carries the memory counters (`peak_rss_bytes` from
-//! `VmHWM`, plus the frozen graph's exact `graph_bytes` and its builder
-//! realloc count). Scenario names resolve through [`Scenario::named`], so
-//! the million-node power-law family (`large`, `xlarge`) is available next
-//! to the classic `tiny`/`small`/`medium` — scale scenarios get a bounded
-//! mining config ([`gfd_bench::perf_cfg_scale`]).
-//!
-//! `--validate N` switches to the demand-driven validation benchmark:
-//! mine the scenario's rules once, then answer `N` seed-pinned per-entity
-//! queries through the bound path ([`gfd_core::BoundValidator`]) and report
-//! wall latency percentiles plus the deterministic `validation_work`
-//! counter, next to one metered full-materialization pass for the ratio.
+//! Every kind of run writes one record shape through `record`: identity
+//! fields, the deterministic counters (the mining pass's `spawning_work`
+//! and `evaluation_work` on every runtime, the schedule, the validation
+//! meters), then memory and wall-clock fields with the per-layer
+//! `stage_secs` the driver times on every runtime. A field a kind of run
+//! does not measure reads `0`. Scenario names resolve through
+//! [`Scenario::named`]; the million-node power-law family (`large`,
+//! `xlarge`) gets a bounded mining config ([`gfd_bench::perf_cfg_scale`]).
 //!
 //! ```text
 //! cargo run -p gfd-bench --release --bin perf -- --scenario medium --label after
 //! cargo run -p gfd-bench --release --bin perf -- --scenario small --runtime steal --workers 4
-//! cargo run -p gfd-bench --release --bin perf -- --scenario large --runtime steal --workers 4
 //! cargo run -p gfd-bench --release --bin perf -- --scenario large --validate 64
 //! ```
 
@@ -34,14 +33,16 @@
 
 use std::ops::ControlFlow;
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use gfd_bench::{perf_cfg, perf_cfg_scale};
-use gfd_core::{seq_dis, BoundValidator, CandidateEvaluator, MatchTable, TableEvaluator};
+use gfd_core::{
+    seq_dis, BoundValidator, CandidateEvaluator, DiscoveryConfig, MatchTable, TableEvaluator,
+};
 use gfd_datagen::Scenario;
 use gfd_graph::{AttrId, Graph, NodeId};
 use gfd_logic::{Gfd, Literal};
-use gfd_parallel::{par_dis_with_runtime, ClusterConfig, ExecMode, Runtime};
+use gfd_parallel::{par_dis_with_runtime, ClusterConfig, ExecMode, ParDisReport, Runtime};
 use gfd_pattern::{CompiledPattern, MatchSet, PLabel};
 use rand::{rngs::StdRng, RngExt, SeedableRng};
 
@@ -51,6 +52,14 @@ fn usage() -> ! {
          [--runtime seq|barrier|steal] [--workers N] [--mode threads|simulated] [--validate N]"
     );
     std::process::exit(2);
+}
+
+/// A flag's parsed value, or the usage message when it is missing or
+/// malformed.
+fn parsed<T: std::str::FromStr>(value: Option<String>) -> T {
+    value
+        .and_then(|s| s.parse().ok())
+        .unwrap_or_else(|| usage())
 }
 
 /// The attributes a rule's literals read — what a full-path match table
@@ -82,13 +91,12 @@ fn rule_attrs(phi: &Gfd) -> Vec<AttrId> {
 /// One metered full-materialization validation pass: every rule enumerates
 /// its whole match set, builds a global [`MatchTable`], and evaluates its
 /// candidate through the bitmap index — the path a single-entity query had
-/// to pay before the bound validator. Returns `(deterministic work, wall
-/// seconds, violating rules)`: work is match cells materialised plus the
+/// to pay before the bound validator. Returns `(deterministic work,
+/// violating rules)`: work is match cells materialised plus the
 /// evaluator's own memory-touch meter.
-fn full_validation_pass(g: &Graph, rules: &[Gfd]) -> (u64, f64, usize) {
-    let t0 = Instant::now();
+fn full_validation_pass(g: &Graph, rules: &[Gfd]) -> (u64, u64) {
     let mut work = 0u64;
-    let mut violated = 0usize;
+    let mut violated = 0u64;
     for phi in rules {
         let q = phi.pattern();
         let cp = CompiledPattern::new(q);
@@ -106,7 +114,7 @@ fn full_validation_pass(g: &Graph, rules: &[Gfd]) -> (u64, f64, usize) {
             violated += 1;
         }
     }
-    (work, t0.elapsed().as_secs_f64(), violated)
+    (work, violated)
 }
 
 /// Latency percentile over a sorted sample (nearest-rank).
@@ -116,6 +124,178 @@ fn percentile(sorted: &[f64], p: f64) -> f64 {
     }
     let idx = ((sorted.len() as f64 * p).ceil() as usize).clamp(1, sorted.len()) - 1;
     sorted[idx]
+}
+
+/// What the `--validate` workload measured; zero for mining-only runs.
+#[derive(Default)]
+struct Validation {
+    queries: u64,
+    validation_work: u64,
+    bound_queries: u64,
+    full_validation_work: u64,
+    dirty_entities: u64,
+    full_violated_rules: u64,
+    bound_total: Duration,
+    full_pass: Duration,
+    /// Per-query latencies in seconds, sorted.
+    latencies: Vec<f64>,
+}
+
+/// Answers `queries` seed-pinned per-entity queries over `rules` through
+/// the bound path, then runs one metered full-materialization pass. Each
+/// query targets a rule drawn uniformly, seeded at a uniform node of that
+/// rule's pivot label class — the "does this entity violate anything?"
+/// production shape.
+fn validation(g: &Graph, seed: u64, rules: &[Gfd], queries: usize) -> Validation {
+    let mut rng = StdRng::seed_from_u64(seed ^ 0xb07d);
+    let workload: Vec<NodeId> = (0..queries)
+        .map(|_| {
+            let q = rules[rng.random_range(0..rules.len().max(1))].pattern();
+            match q.node_label(q.pivot()) {
+                PLabel::Is(l) => {
+                    let class = g.nodes_with_label(l);
+                    if class.is_empty() {
+                        NodeId::from_index(rng.random_range(0..g.node_count()))
+                    } else {
+                        class[rng.random_range(0..class.len())]
+                    }
+                }
+                PLabel::Wildcard => NodeId::from_index(rng.random_range(0..g.node_count())),
+            }
+        })
+        .collect();
+    let plans: Vec<CompiledPattern> = rules
+        .iter()
+        .map(|phi| CompiledPattern::new(phi.pattern()))
+        .collect();
+
+    let mut validator = BoundValidator::new(g);
+    let mut v = Validation {
+        queries: queries as u64,
+        ..Validation::default()
+    };
+    let t_bound = Instant::now();
+    for &node in &workload {
+        let t = Instant::now();
+        let mut dirty = false;
+        for (phi, plan) in rules.iter().zip(&plans) {
+            v.bound_queries += 1;
+            dirty |= validator.verdict_at(phi, plan, node).violations > 0;
+        }
+        v.latencies.push(t.elapsed().as_secs_f64());
+        v.dirty_entities += u64::from(dirty);
+    }
+    v.bound_total = t_bound.elapsed();
+    v.validation_work = validator.work();
+    v.latencies.sort_by(f64::total_cmp);
+    let t_full = Instant::now();
+    (v.full_validation_work, v.full_violated_rules) = full_validation_pass(g, rules);
+    v.full_pass = t_full.elapsed();
+    v
+}
+
+/// Renders `fields` as a JSON object nested `depth` levels deep, one
+/// `"name": value` per line.
+fn object(fields: &[(&str, String)], depth: usize) -> String {
+    let pad = "  ".repeat(depth + 1);
+    let lines: Vec<String> = fields
+        .iter()
+        .map(|(name, value)| format!("{pad}\"{name}\": {value}"))
+        .collect();
+    format!("{{\n{}\n{}}}", lines.join(",\n"), "  ".repeat(depth))
+}
+
+/// The one record shape every kind of run writes. `run` carries the
+/// mining pass (a seq pass as a report with no schedule), `mine` its wall
+/// time and `wall` the whole run's after graph generation.
+#[allow(clippy::too_many_arguments)]
+fn record(
+    label: &str,
+    sc: &Scenario,
+    g: &Graph,
+    mining: &DiscoveryConfig,
+    (runtime, workers, mode): (&str, usize, &str),
+    run: &ParDisReport,
+    v: &Validation,
+    [generation, mine, wall]: [Duration; 3],
+) -> String {
+    let s = &run.result.stats;
+    let secs = |d: Duration| format!("{:.3}", d.as_secs_f64());
+    let text = |t: &str| format!("\"{t}\"");
+    let ms = |p: f64| format!("{:.3}", percentile(&v.latencies, p) * 1e3);
+    let per_query_work = v
+        .validation_work
+        .checked_div(v.queries)
+        .map_or(0, |w| w.max(1));
+    let ratio = v.full_validation_work as f64 / per_query_work.max(1) as f64;
+    let other = s
+        .total_time
+        .saturating_sub(s.matching_time + s.spawning_time() + s.validation_time());
+    let stages = [
+        ("matching", secs(s.matching_time)),
+        ("spawning", secs(s.spawning_time())),
+        ("spawning_harvest", secs(s.spawning_harvest_time)),
+        ("spawning_merge", secs(s.spawning_merge_time)),
+        ("evaluation", secs(s.validation_time())),
+        ("evaluation_catalog", secs(s.catalog_time)),
+        ("evaluation_lattice", secs(s.lattice_time)),
+        ("other", secs(other)),
+        ("total", secs(s.total_time)),
+    ];
+    let latency = [
+        ("p50", ms(0.50)),
+        ("p95", ms(0.95)),
+        ("p99", ms(0.99)),
+        ("max", ms(1.0)),
+    ];
+    object(
+        &[
+            ("label", text(label)),
+            ("scenario", text(sc.name())),
+            ("runtime", text(runtime)),
+            ("workers", workers.to_string()),
+            ("mode", text(mode)),
+            ("nodes", g.node_count().to_string()),
+            ("edges", g.edge_count().to_string()),
+            ("seed", sc.seed().to_string()),
+            ("sigma", mining.sigma.to_string()),
+            ("k", mining.k.to_string()),
+            ("min_confidence", format!("{:.1}", mining.min_confidence)),
+            ("gfds", run.result.gfds.len().to_string()),
+            ("patterns_verified", s.patterns_verified.to_string()),
+            ("hspawn_candidates", s.hspawn.candidates.to_string()),
+            ("spawning_work", s.spawning_work.to_string()),
+            ("evaluation_work", s.evaluation_work.to_string()),
+            ("work_makespan", run.work_makespan.to_string()),
+            ("work_busy", run.work_busy.to_string()),
+            ("waves", run.barriers.to_string()),
+            ("comm_bytes", run.comm_bytes.to_string()),
+            ("retries", s.retries.to_string()),
+            ("requeued_units", s.requeued_units.to_string()),
+            ("speculative_wins", s.speculative_wins.to_string()),
+            ("recovered_waves", s.recovered_waves.to_string()),
+            ("queries", v.queries.to_string()),
+            ("validation_work", v.validation_work.to_string()),
+            ("bound_queries", v.bound_queries.to_string()),
+            ("work_per_query", per_query_work.to_string()),
+            ("full_validation_work", v.full_validation_work.to_string()),
+            ("full_work_ratio", format!("{ratio:.1}")),
+            ("dirty_entities", v.dirty_entities.to_string()),
+            ("full_violated_rules", v.full_violated_rules.to_string()),
+            ("peak_rss_bytes", s.peak_rss_bytes.to_string()),
+            ("graph_bytes", s.graph_bytes.to_string()),
+            ("graph_reallocs", s.graph_reallocs.to_string()),
+            ("generation_secs", secs(generation)),
+            ("wall_secs", secs(wall)),
+            ("mine_secs", secs(mine)),
+            ("simulated_secs", secs(run.simulated)),
+            ("bound_total_secs", secs(v.bound_total)),
+            ("full_pass_secs", secs(v.full_pass)),
+            ("stage_secs", object(&stages, 1)),
+            ("latency_ms", object(&latency, 1)),
+        ],
+        0,
+    )
 }
 
 fn main() {
@@ -133,25 +313,14 @@ fn main() {
             "--scenario" => scenario = it.next().expect("--scenario needs a name"),
             "--label" => label = it.next().expect("--label needs a value"),
             "--out" => out = Some(it.next().expect("--out needs a path")),
-            "--validate" => {
-                validate = Some(
-                    it.next()
-                        .and_then(|s| s.parse().ok())
-                        .unwrap_or_else(|| usage()),
-                );
-            }
+            "--validate" => validate = Some(parsed(it.next())),
             "--runtime" => {
                 let r = it.next().expect("--runtime needs a value");
                 if r != "seq" {
                     runtime = Some(Runtime::parse(&r).unwrap_or_else(|| usage()));
                 }
             }
-            "--workers" => {
-                workers = it
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| usage());
-            }
+            "--workers" => workers = parsed(it.next()),
             "--mode" => {
                 mode = match it.next().as_deref() {
                     Some("threads") => ExecMode::Threads,
@@ -172,269 +341,53 @@ fn main() {
 
     let t0 = Instant::now();
     let g = Arc::new(sc.build());
-    let gen_secs = t0.elapsed().as_secs_f64();
-    let mining = if sc.is_scale() {
+    let generation = t0.elapsed();
+    let mut mining = if sc.is_scale() {
         perf_cfg_scale(g.node_count())
     } else {
         perf_cfg(g.node_count())
     };
 
-    let json = if let Some(queries) = validate {
-        // Demand-driven validation benchmark: mine the catalog, then answer
-        // seed-pinned per-entity queries through the bound path. Mining runs
-        // at min_confidence 0.5 so the catalog holds *approximate* positive
-        // rules with real violators — the monitoring shape a per-entity
-        // query exists for. (Exact mining on the power-law family yields
-        // only zero-match negative patterns, which make a vacuous workload.)
-        let mut mining = mining;
+    if validate.is_some() {
+        // The validation workload mines at min_confidence 0.5, so the
+        // catalog holds *approximate* positive rules with real violators —
+        // the monitoring shape a per-entity query exists for. (Exact
+        // mining on the power-law family yields only zero-match negative
+        // patterns, which make a vacuous workload.)
         mining.min_confidence = 0.5;
-        let t_mine = Instant::now();
-        let result = seq_dis(&g, &mining);
-        let mine_secs = t_mine.elapsed().as_secs_f64();
-        let rules: Vec<Gfd> = result.gfds.iter().map(|d| d.gfd.clone()).collect();
-        let plans: Vec<CompiledPattern> = rules
-            .iter()
-            .map(|phi| CompiledPattern::new(phi.pattern()))
-            .collect();
-
-        // Seed-pinned workload: each query targets a rule drawn uniformly,
-        // seeded at a uniform node of that rule's pivot label class — the
-        // "does this entity violate anything?" production shape.
-        let mut rng = StdRng::seed_from_u64(sc.seed() ^ 0xb07d);
-        let workload: Vec<NodeId> = (0..queries)
-            .map(|_| {
-                let q = rules[rng.random_range(0..rules.len().max(1))].pattern();
-                match q.node_label(q.pivot()) {
-                    PLabel::Is(l) => {
-                        let class = g.nodes_with_label(l);
-                        if class.is_empty() {
-                            NodeId::from_index(rng.random_range(0..g.node_count()))
-                        } else {
-                            class[rng.random_range(0..class.len())]
-                        }
-                    }
-                    PLabel::Wildcard => NodeId::from_index(rng.random_range(0..g.node_count())),
-                }
-            })
-            .collect();
-
-        let mut validator = BoundValidator::new(&g);
-        let mut latencies: Vec<f64> = Vec::with_capacity(queries);
-        let mut bound_queries = 0u64;
-        let mut dirty_entities = 0usize;
-        let t_bound = Instant::now();
-        for &node in &workload {
-            let t = Instant::now();
-            let mut dirty = false;
-            for (phi, plan) in rules.iter().zip(&plans) {
-                bound_queries += 1;
-                dirty |= validator.verdict_at(phi, plan, node).violations > 0;
-            }
-            latencies.push(t.elapsed().as_secs_f64());
-            if dirty {
-                dirty_entities += 1;
-            }
+    }
+    let t_run = Instant::now();
+    let run = match runtime.filter(|_| validate.is_none()) {
+        Some(rt) => {
+            let ccfg = ClusterConfig::new(workers, mode);
+            par_dis_with_runtime(&g, &mining, &ccfg, rt).expect("fault-free")
         }
-        let bound_secs = t_bound.elapsed().as_secs_f64();
-        let validation_work = validator.work();
-        latencies.sort_by(f64::total_cmp);
-
-        let (full_work, full_secs, full_violated) = full_validation_pass(&g, &rules);
-        let per_query_work = (validation_work / queries.max(1) as u64).max(1);
-        format!(
-            concat!(
-                "{{\n",
-                "  \"label\": \"{label}\",\n",
-                "  \"scenario\": \"{scenario}\",\n",
-                "  \"runtime\": \"validate\",\n",
-                "  \"nodes\": {nodes},\n",
-                "  \"edges\": {edges},\n",
-                "  \"seed\": {seed},\n",
-                "  \"gfds\": {gfds},\n",
-                "  \"queries\": {queries},\n",
-                "  \"min_confidence\": 0.5,\n",
-                "  \"validation_work\": {validation_work},\n",
-                "  \"bound_queries\": {bound_queries},\n",
-                "  \"bound_fallbacks\": 0,\n",
-                "  \"work_per_query\": {per_query_work},\n",
-                "  \"full_validation_work\": {full_work},\n",
-                "  \"full_work_ratio\": {ratio:.1},\n",
-                "  \"latency_ms\": {{\n",
-                "    \"p50\": {p50:.3},\n",
-                "    \"p95\": {p95:.3},\n",
-                "    \"p99\": {p99:.3},\n",
-                "    \"max\": {pmax:.3}\n",
-                "  }},\n",
-                "  \"mine_secs\": {mine:.3},\n",
-                "  \"bound_total_secs\": {bound:.3},\n",
-                "  \"full_pass_secs\": {full:.3},\n",
-                "  \"dirty_entities\": {dirty},\n",
-                "  \"full_violated_rules\": {fviol},\n",
-                "  \"generation_secs\": {gen:.3}\n",
-                "}}"
-            ),
-            label = label,
-            scenario = sc.name(),
-            nodes = g.node_count(),
-            edges = g.edge_count(),
-            seed = sc.seed(),
-            gfds = rules.len(),
-            queries = queries,
-            validation_work = validation_work,
-            bound_queries = bound_queries,
-            per_query_work = per_query_work,
-            full_work = full_work,
-            ratio = full_work as f64 / per_query_work as f64,
-            p50 = percentile(&latencies, 0.50) * 1e3,
-            p95 = percentile(&latencies, 0.95) * 1e3,
-            p99 = percentile(&latencies, 0.99) * 1e3,
-            pmax = latencies.last().copied().unwrap_or(0.0) * 1e3,
-            mine = mine_secs,
-            bound = bound_secs,
-            full = full_secs,
-            dirty = dirty_entities,
-            fviol = full_violated,
-            gen = gen_secs,
-        )
-    } else {
-        match runtime {
-            None => {
-                let result = seq_dis(&g, &mining);
-                let s = &result.stats;
-                let matching = s.matching_time.as_secs_f64();
-                let spawning = s.spawning_time.as_secs_f64();
-                let sp_harvest = s.spawning_harvest_time.as_secs_f64();
-                let sp_merge = s.spawning_merge_time.as_secs_f64();
-                let evaluation = s.validation_time.as_secs_f64();
-                let catalog = s.catalog_time.as_secs_f64();
-                let lattice = s.lattice_time.as_secs_f64();
-                let total = s.total_time.as_secs_f64();
-                let other = (total - matching - spawning - evaluation).max(0.0);
-                format!(
-                    concat!(
-                        "{{\n",
-                        "  \"label\": \"{label}\",\n",
-                        "  \"scenario\": \"{scenario}\",\n",
-                        "  \"runtime\": \"seq\",\n",
-                        "  \"nodes\": {nodes},\n",
-                        "  \"edges\": {edges},\n",
-                        "  \"seed\": {seed},\n",
-                        "  \"sigma\": {sigma},\n",
-                        "  \"k\": {k},\n",
-                        "  \"gfds\": {gfds},\n",
-                        "  \"patterns_verified\": {verified},\n",
-                        "  \"hspawn_candidates\": {cands},\n",
-                        "  \"spawning_work\": {spawning_work},\n",
-                        "  \"evaluation_work\": {evaluation_work},\n",
-                        "  \"peak_rss_bytes\": {peak_rss},\n",
-                        "  \"graph_bytes\": {graph_bytes},\n",
-                        "  \"graph_reallocs\": {graph_reallocs},\n",
-                        "  \"generation_secs\": {gen:.3},\n",
-                        "  \"stage_secs\": {{\n",
-                        "    \"matching\": {matching:.3},\n",
-                        "    \"spawning\": {spawning:.3},\n",
-                        "    \"spawning_harvest\": {sp_harvest:.3},\n",
-                        "    \"spawning_merge\": {sp_merge:.3},\n",
-                        "    \"evaluation\": {evaluation:.3},\n",
-                        "    \"evaluation_catalog\": {catalog:.3},\n",
-                        "    \"evaluation_lattice\": {lattice:.3},\n",
-                        "    \"other\": {other:.3},\n",
-                        "    \"total\": {total:.3}\n",
-                        "  }}\n",
-                        "}}"
-                    ),
-                    label = label,
-                    scenario = sc.name(),
-                    nodes = g.node_count(),
-                    edges = g.edge_count(),
-                    seed = sc.seed(),
-                    sigma = mining.sigma,
-                    k = mining.k,
-                    gfds = result.gfds.len(),
-                    verified = s.patterns_verified,
-                    cands = s.hspawn.candidates,
-                    spawning_work = s.spawning_work,
-                    evaluation_work = s.evaluation_work,
-                    peak_rss = s.peak_rss_bytes,
-                    graph_bytes = s.graph_bytes,
-                    graph_reallocs = s.graph_reallocs,
-                    gen = gen_secs,
-                    matching = matching,
-                    spawning = spawning,
-                    sp_harvest = sp_harvest,
-                    sp_merge = sp_merge,
-                    evaluation = evaluation,
-                    catalog = catalog,
-                    lattice = lattice,
-                    other = other,
-                    total = total,
-                )
-            }
-            Some(rt) => {
-                let ccfg = ClusterConfig::new(workers, mode);
-                let report = par_dis_with_runtime(&g, &mining, &ccfg, rt).expect("fault-free");
-                format!(
-                    concat!(
-                        "{{\n",
-                        "  \"label\": \"{label}\",\n",
-                        "  \"scenario\": \"{scenario}\",\n",
-                        "  \"runtime\": \"{runtime}\",\n",
-                        "  \"workers\": {workers},\n",
-                        "  \"mode\": \"{mode}\",\n",
-                        "  \"nodes\": {nodes},\n",
-                        "  \"edges\": {edges},\n",
-                        "  \"seed\": {seed},\n",
-                        "  \"sigma\": {sigma},\n",
-                        "  \"k\": {k},\n",
-                        "  \"gfds\": {gfds},\n",
-                        "  \"generation_secs\": {gen:.3},\n",
-                        "  \"wall_secs\": {wall:.3},\n",
-                        "  \"simulated_secs\": {sim:.3},\n",
-                        "  \"work_makespan\": {wms},\n",
-                        "  \"work_busy\": {wb},\n",
-                        "  \"waves\": {waves},\n",
-                        "  \"comm_bytes\": {comm},\n",
-                        "  \"peak_rss_bytes\": {peak_rss},\n",
-                        "  \"graph_bytes\": {graph_bytes},\n",
-                        "  \"graph_reallocs\": {graph_reallocs},\n",
-                        "  \"retries\": {retries},\n",
-                        "  \"requeued_units\": {requeued},\n",
-                        "  \"speculative_wins\": {spec_wins},\n",
-                        "  \"recovered_waves\": {recovered}\n",
-                        "}}"
-                    ),
-                    label = label,
-                    scenario = sc.name(),
-                    runtime = rt.name(),
-                    workers = workers,
-                    mode = match mode {
-                        ExecMode::Threads => "threads",
-                        ExecMode::Simulated => "simulated",
-                    },
-                    nodes = g.node_count(),
-                    edges = g.edge_count(),
-                    seed = sc.seed(),
-                    sigma = mining.sigma,
-                    k = mining.k,
-                    gfds = report.result.gfds.len(),
-                    gen = gen_secs,
-                    wall = report.wall.as_secs_f64(),
-                    sim = report.simulated.as_secs_f64(),
-                    wms = report.work_makespan,
-                    wb = report.work_busy,
-                    waves = report.barriers,
-                    comm = report.comm_bytes,
-                    peak_rss = report.result.stats.peak_rss_bytes,
-                    graph_bytes = report.result.stats.graph_bytes,
-                    graph_reallocs = report.result.stats.graph_reallocs,
-                    retries = report.result.stats.retries,
-                    requeued = report.result.stats.requeued_units,
-                    spec_wins = report.result.stats.speculative_wins,
-                    recovered = report.result.stats.recovered_waves,
-                )
-            }
-        }
+        None => ParDisReport {
+            result: seq_dis(&g, &mining),
+            wall: t_run.elapsed(),
+            ..ParDisReport::default()
+        },
     };
+    let v = match validate {
+        Some(queries) => validation(&g, sc.seed(), &run.result.rules(), queries),
+        None => Validation::default(),
+    };
+    let kind = match (validate, runtime, mode) {
+        (Some(_), ..) => ("validate", 1, "inline"),
+        (None, None, _) => ("seq", 1, "inline"),
+        (None, Some(rt), ExecMode::Threads) => (rt.name(), workers, "threads"),
+        (None, Some(rt), ExecMode::Simulated) => (rt.name(), workers, "simulated"),
+    };
+    let json = record(
+        &label,
+        &sc,
+        &g,
+        &mining,
+        kind,
+        &run,
+        &v,
+        [generation, run.wall, t_run.elapsed()],
+    );
     match out {
         Some(path) => {
             std::fs::write(&path, format!("{json}\n")).expect("write output file");

@@ -97,14 +97,14 @@ pub fn cost_breakdown(scale: Scale) -> Table {
             profile.name().to_string(),
             f(secs(r.stats.total_time)),
             f(secs(r.stats.matching_time)),
-            f(secs(r.stats.validation_time)),
+            f(secs(r.stats.validation_time())),
             format!(
                 "{:.0}%",
                 100.0 * r.stats.matching_time.as_secs_f64() / total
             ),
             format!(
                 "{:.0}%",
-                100.0 * r.stats.validation_time.as_secs_f64() / total
+                100.0 * r.stats.validation_time().as_secs_f64() / total
             ),
         ]);
     }
@@ -136,7 +136,7 @@ mod tests {
             Scale(if cfg!(debug_assertions) { 0.04 } else { 0.08 }),
         );
         let r = seq_dis(&g, &bench_cfg(&g, 3));
-        assert!(r.stats.matching_time + r.stats.validation_time <= r.stats.total_time * 2);
+        assert!(r.stats.matching_time + r.stats.validation_time() <= r.stats.total_time * 2);
         assert!(r.stats.total_time.as_nanos() > 0);
     }
 }

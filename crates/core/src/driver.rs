@@ -11,7 +11,9 @@
 //!   infrequent, or frequent;
 //! * covered-set inheritance, `NVSpawn`, the negative minimality filter
 //!   and emission order;
-//! * the schedule counters of [`DiscoveryStats`].
+//! * every timer and work meter of [`crate::DiscoveryStats`]: it times each
+//!   executor operation and folds in the work the operation returns with
+//!   its result.
 //!
 //! An [`Executor`] owns the data. It seeds the roots, hands over a
 //! parent's raw harvest, joins a level's fresh children, mines a level's
@@ -19,7 +21,7 @@
 //! ([`crate::seqdis`]) runs these operations inline; `gfd-parallel` runs
 //! them as work-stealing waves or barrier broadcasts. Every runtime emits
 //! the same rules, supports and counters in the same order by
-//! construction.
+//! construction, and meters its work through the same fields.
 
 use std::time::{Duration, Instant};
 
@@ -30,7 +32,7 @@ use gfd_pattern::{is_embedded, Extension, PLabel, Pattern};
 use crate::config::DiscoveryConfig;
 use crate::gentree::{GenTree, Inserted, NodeState};
 use crate::hspawn::{Covered, HSpawnStats, MinedDependency};
-use crate::result::{peak_rss_bytes, DiscoveredGfd, DiscoveryResult, DiscoveryStats};
+use crate::result::{peak_rss_bytes, DiscoveredGfd, DiscoveryResult};
 use crate::vspawn::{proposals_from_harvest, propose_negative_extensions, RawHarvest};
 
 /// A fresh positive child of the current level: its matches are the
@@ -76,11 +78,28 @@ pub struct MineOutcome {
     pub covered: Vec<Covered>,
     /// Lattice counters.
     pub hstats: HSpawnStats,
+    /// Deterministic evaluation work: the summed
+    /// [`BitmapIndex::work`](crate::BitmapIndex::work) meters of the
+    /// evaluations that ran this lattice, each accepted unit once.
+    pub work: u64,
+}
+
+/// A level's lattice outcomes and the time their catalogs took.
+#[derive(Debug, Default)]
+pub struct Mined {
+    /// One outcome per job, in order.
+    pub outcomes: Vec<MineOutcome>,
+    /// Wall time spent building match tables and literal catalogs; the
+    /// rest of the `mine` call is lattice time.
+    pub catalog_time: Duration,
 }
 
 /// The data-touching half of discovery. Each executor keeps the match
 /// sets of the patterns a later operation still reads; the driver never
-/// holds a row.
+/// holds a row, and never reads a stats field from an executor: each
+/// operation returns what it measured with its result
+/// ([`RawHarvest::work`], [`MineOutcome::work`], [`Mined::catalog_time`]),
+/// and the driver times the operation itself.
 ///
 /// A cold run calls `seed_roots`, `mine` and `level_done(0)`; then, per
 /// level, `harvest` once per frequent parent in tree order, one `join`,
@@ -101,13 +120,9 @@ pub trait Executor {
         keep: &mut dyn FnMut(Joined) -> bool,
     ) -> Result<(), Self::Error>;
 
-    /// Hands over `parent`'s raw extension harvest.
-    fn harvest(
-        &mut self,
-        tree: &GenTree,
-        parent: usize,
-        stats: &mut DiscoveryStats,
-    ) -> Result<RawHarvest, Self::Error>;
+    /// Hands over `parent`'s raw extension harvest, its `work` summed over
+    /// every accepted harvest unit.
+    fn harvest(&mut self, tree: &GenTree, parent: usize) -> Result<RawHarvest, Self::Error>;
 
     /// Joins every spawn's parent matches with its extension and calls
     /// `keep` once per spawn, in order. A child whose `keep` is false is
@@ -116,7 +131,6 @@ pub trait Executor {
         &mut self,
         tree: &GenTree,
         spawns: &[Spawn],
-        stats: &mut DiscoveryStats,
         keep: &mut dyn FnMut(Joined) -> bool,
     ) -> Result<(), Self::Error>;
 
@@ -128,8 +142,7 @@ pub trait Executor {
         tree: &GenTree,
         jobs: Vec<MineJob>,
         harvest_next: bool,
-        stats: &mut DiscoveryStats,
-    ) -> Result<Vec<MineOutcome>, Self::Error>;
+    ) -> Result<Mined, Self::Error>;
 
     /// Level `level` is emitted: only its own patterns' matches are read
     /// from here on.
@@ -241,11 +254,13 @@ impl<'a> Driver<'a> {
         exec.charge_master(t0.elapsed());
 
         let mut seeded = Vec::with_capacity(ids.len());
+        let t0 = Instant::now();
         exec.seed_roots(&self.tree, &ids, &mut |j| {
             let frequent = j.support >= cfg.sigma || !cfg.enable_pruning;
             seeded.push((j, frequent));
             frequent
         })?;
+        self.result.stats.matching_time += t0.elapsed();
         let mut jobs = Vec::new();
         for (&id, (j, frequent)) in ids.iter().zip(seeded) {
             let node = self.tree.node_mut(id);
@@ -265,7 +280,7 @@ impl<'a> Driver<'a> {
             }
         }
         let mined: Vec<usize> = jobs.iter().map(|j| j.node).collect();
-        let outcomes = exec.mine(&self.tree, jobs, true, &mut self.result.stats)?;
+        let outcomes = self.mine(exec, jobs, true)?;
         for (id, o) in mined.into_iter().zip(outcomes) {
             self.emit_mined(id, o);
         }
@@ -295,7 +310,10 @@ impl<'a> Driver<'a> {
         let mut spawns: Vec<Spawn> = Vec::new();
         let mut own = Duration::ZERO;
         for pid in parents {
-            let mut raw = exec.harvest(&self.tree, pid, &mut self.result.stats)?;
+            let t0 = Instant::now();
+            let mut raw = exec.harvest(&self.tree, pid)?;
+            self.result.stats.spawning_harvest_time += t0.elapsed();
+            self.result.stats.spawning_work += raw.work;
             let t0 = Instant::now();
             let proposals = proposals_from_harvest(&mut raw, cfg);
             let negs = if cfg.mine_negative {
@@ -304,9 +322,7 @@ impl<'a> Driver<'a> {
             } else {
                 Vec::new()
             };
-            let merge = t0.elapsed();
-            self.result.stats.spawning_merge_time += merge;
-            self.result.stats.spawning_time += merge;
+            self.result.stats.spawning_merge_time += t0.elapsed();
             for (ext, _count) in proposals.frequent {
                 if cfg.max_patterns_per_level > 0 && spawns.len() >= cfg.max_patterns_per_level {
                     break;
@@ -331,11 +347,13 @@ impl<'a> Driver<'a> {
         }
 
         let mut verdicts = Vec::with_capacity(spawns.len());
-        exec.join(&self.tree, &spawns, &mut self.result.stats, &mut |j| {
+        let t0 = Instant::now();
+        exec.join(&self.tree, &spawns, &mut |j| {
             let state = verdict(cfg, j);
             verdicts.push((j, state));
             state == NodeState::Frequent
         })?;
+        self.result.stats.matching_time += t0.elapsed();
         let t0 = Instant::now();
         let mut jobs = Vec::new();
         for (s, (j, state)) in spawns.iter().zip(verdicts) {
@@ -358,10 +376,7 @@ impl<'a> Driver<'a> {
         }
         own += t0.elapsed();
 
-        let harvest_next = level < cfg.level_cap();
-        let mut outcomes = exec
-            .mine(&self.tree, jobs, harvest_next, &mut self.result.stats)?
-            .into_iter();
+        let mut outcomes = self.mine(exec, jobs, level < cfg.level_cap())?.into_iter();
         let t0 = Instant::now();
         for (pid, cid, nvspawn) in events {
             match self.tree.node(cid).state {
@@ -382,6 +397,22 @@ impl<'a> Driver<'a> {
         exec.charge_master(own + t0.elapsed());
         exec.level_done(self, level)?;
         Ok(true)
+    }
+
+    /// Runs the executor's `mine` and folds its times: the catalog time it
+    /// reports, and the rest of the call as lattice time.
+    fn mine<E: Executor>(
+        &mut self,
+        exec: &mut E,
+        jobs: Vec<MineJob>,
+        harvest_next: bool,
+    ) -> Result<Vec<MineOutcome>, E::Error> {
+        let t0 = Instant::now();
+        let mined = exec.mine(&self.tree, jobs, harvest_next)?;
+        let stats = &mut self.result.stats;
+        stats.catalog_time += mined.catalog_time;
+        stats.lattice_time += t0.elapsed().saturating_sub(mined.catalog_time);
+        Ok(mined.outcomes)
     }
 
     /// Inserts `parent ⊕ ext`; returns the child's id when it opens a new
@@ -415,6 +446,7 @@ impl<'a> Driver<'a> {
             });
         }
         self.result.stats.hspawn.merge(&o.hstats);
+        self.result.stats.evaluation_work += o.work;
         self.tree.node_mut(id).covered = o.covered;
     }
 

@@ -172,16 +172,6 @@ impl RangeEvaluator {
         RangeEvaluator { shards }
     }
 
-    /// Per-shard literal-candidate counts merged in range order (the
-    /// catalog input, mirroring the cluster's per-fragment count merge).
-    pub fn catalog_counts(&self) -> crate::catalog::CatalogCounts {
-        let mut acc = crate::catalog::CatalogCounts::default();
-        for (t, _) in &self.shards {
-            acc.merge(crate::catalog::CatalogCounts::count(t));
-        }
-        acc
-    }
-
     /// Total rows across shards.
     pub fn rows(&self) -> usize {
         self.shards.iter().map(|(t, _)| t.rows()).sum()

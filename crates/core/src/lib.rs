@@ -43,7 +43,7 @@ pub use bitmap::BitmapIndex;
 pub use bound::{BoundPlans, BoundValidator, DEFAULT_BITMAP_THRESHOLD};
 pub use catalog::{CatalogCounts, LiteralCatalog};
 pub use config::{DiscoveryConfig, LiteralOrder};
-pub use driver::{Driver, Executor, Joined, MineJob, MineOutcome, Spawn};
+pub use driver::{Driver, Executor, Joined, MineJob, MineOutcome, Mined, Spawn};
 pub use gentree::{GenNode, GenTree, Inserted, NodeState};
 pub use hspawn::{
     finish_negatives, merge_rhs_outcome, mine_dependencies, mine_dependencies_with,

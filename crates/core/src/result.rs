@@ -38,7 +38,25 @@ impl DiscoveredGfd {
     }
 }
 
-/// Counters and phase timings of one discovery run.
+/// Counters and phase timings of one discovery run. [`crate::Driver`]
+/// alone writes the timer and work fields, from the operations of every
+/// runtime's executor; a resumed run starts from its checkpoint's counts.
+///
+/// The two work meters count memory touches. They are pure functions of
+/// the input and, on the parallel runtimes, of how the worker count (with
+/// the runtime's range or partition knobs, derived from it by default)
+/// cuts row spaces into ranges or fragments. Each accepted work unit
+/// counts once, however often it was retried or speculated:
+///
+/// * `spawning_work` sums every harvest's [`crate::RawHarvest::work`]:
+///   one call per parent on seq, one per row range (steal) or fragment
+///   (barrier) otherwise. A node's signature counts once per call, so a
+///   cut row space can meter more than seq's single pass.
+/// * `evaluation_work` sums the [`crate::BitmapIndex::work`] of the
+///   evaluations that ran each lattice. A pattern steal mines whole on
+///   one shard (its `MineRhs` units) meters exactly seq's value; lattices
+///   evaluated per range (steal) or fragment (barrier) meter those
+///   per-shard evaluations instead.
 #[derive(Clone, Debug, Default)]
 pub struct DiscoveryStats {
     /// Pattern extensions proposed by vertical spawning.
@@ -67,47 +85,27 @@ pub struct DiscoveryStats {
     pub positive: usize,
     /// Negative GFDs emitted.
     pub negative: usize,
-    /// Wall time in pattern matching / joins.
+    /// Wall time seeding the roots and joining each level's children.
     pub matching_time: Duration,
-    /// Wall time in vertical spawning (extension proposal/harvest).
-    pub spawning_time: Duration,
-    /// Portion of `spawning_time` spent harvesting raw extension pivot
-    /// sets from match rows (the label-indexed scan).
+    /// Wall time handing over each parent's raw extension harvest. The
+    /// steal runtime harvests a level's parents inside the previous
+    /// level's build wave, so its harvest time lands in `catalog_time`.
     pub spawning_harvest_time: Duration,
-    /// Portion of `spawning_time` spent merging/finalising harvests into
-    /// ranked proposals (including `NVSpawn` candidate generation).
+    /// Wall time merging harvests into ranked proposals, including
+    /// `NVSpawn` candidate generation (the driver's own work).
     pub spawning_merge_time: Duration,
-    /// Deterministic spawning work: match rows plus adjacency entries
-    /// visited by the harvest — a pure function of the input, gated in CI
+    /// Deterministic spawning work (see the type docs), gated in CI
     /// against the checked-in benchmark value.
     pub spawning_work: u64,
-    /// Deterministic lattice-evaluation work: bitmap words ANDed +
-    /// popcounted by the sequential miner's candidate evaluation — a pure
-    /// function of the input, gated in CI against the checked-in benchmark
-    /// value. Parallel runs report `0` (their evaluation work is metered
-    /// per work unit by the scheduler's cost model instead).
+    /// Deterministic lattice-evaluation work (see the type docs), gated
+    /// in CI against the checked-in benchmark value.
     pub evaluation_work: u64,
-    /// Deterministic bound-validation work: row cells materialised, literal
-    /// probes, and bitmap words touched by [`crate::bound::BoundValidator`]
-    /// while answering per-entity queries — a pure function of the input
-    /// and query workload, gated in CI against the checked-in benchmark
-    /// value. Zero for plain mining runs (they never take the bound path).
-    pub validation_work: u64,
-    /// Per-pivot bound queries answered through the demand-driven path.
-    pub bound_queries: u64,
-    /// Queries that crossed the crossover heuristic and fell back to full
-    /// materialization.
-    pub bound_fallbacks: u64,
-    /// Wall time in dependency validation (table build + literal harvest +
-    /// lattice evaluation).
-    pub validation_time: Duration,
-    /// Portion of `validation_time` spent building match tables and
-    /// harvesting candidate literals.
+    /// Wall time building match tables and harvesting candidate literals.
     pub catalog_time: Duration,
-    /// Portion of `validation_time` spent in the literal lattice
-    /// (`HSpawn`/`NHSpawn` candidate evaluation).
+    /// Wall time in the literal lattice (`HSpawn`/`NHSpawn` candidate
+    /// evaluation): the rest of each `mine` operation.
     pub lattice_time: Duration,
-    /// Total wall time.
+    /// Wall time of the driver's run.
     pub total_time: Duration,
     /// Peak resident set of the whole process, sampled when the run
     /// finishes (`VmHWM` on Linux; `0` where the kernel doesn't expose
@@ -121,6 +119,18 @@ pub struct DiscoveryStats {
     /// Capacity-growth events while the input graph was built: zero when
     /// it came through the pre-reserving streaming loader or datagen.
     pub graph_reallocs: u64,
+}
+
+impl DiscoveryStats {
+    /// Wall time in vertical spawning: harvest plus merge.
+    pub fn spawning_time(&self) -> Duration {
+        self.spawning_harvest_time + self.spawning_merge_time
+    }
+
+    /// Wall time in dependency validation: catalog plus lattice.
+    pub fn validation_time(&self) -> Duration {
+        self.catalog_time + self.lattice_time
+    }
 }
 
 /// Peak resident set size of this process in bytes: `VmHWM` from
@@ -184,13 +194,5 @@ impl DiscoveryResult {
     /// Count of negative rules.
     pub fn negative_count(&self) -> usize {
         self.gfds.iter().filter(|d| d.gfd.is_negative()).count()
-    }
-
-    /// Mean support across rules (the "avg. support" column of Fig. 6).
-    pub fn avg_support(&self) -> f64 {
-        if self.gfds.is_empty() {
-            return 0.0;
-        }
-        self.gfds.iter().map(|d| d.support as f64).sum::<f64>() / self.gfds.len() as f64
     }
 }

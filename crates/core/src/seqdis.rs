@@ -18,17 +18,17 @@
 //! when the level is done, and one match table is built at a time.
 
 use std::convert::Infallible;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use gfd_graph::{AttrId, FxHashMap, Graph};
 use gfd_pattern::{extend_matches, MatchSet, PLabel};
 
 use crate::catalog::LiteralCatalog;
 use crate::config::DiscoveryConfig;
-use crate::driver::{Driver, Executor, Joined, MineJob, MineOutcome, Spawn};
+use crate::driver::{Driver, Executor, Joined, MineJob, MineOutcome, Mined, Spawn};
 use crate::gentree::GenTree;
 use crate::hspawn::{mine_dependencies_with, CandidateEvaluator, TableEvaluator};
-use crate::result::{DiscoveryResult, DiscoveryStats};
+use crate::result::DiscoveryResult;
 use crate::support::distinct_pivots;
 use crate::table::MatchTable;
 use crate::vspawn::{harvest_range_cached, RawHarvest, SignatureCache};
@@ -94,19 +94,9 @@ impl Executor for Inline<'_> {
         Ok(())
     }
 
-    fn harvest(
-        &mut self,
-        tree: &GenTree,
-        parent: usize,
-        stats: &mut DiscoveryStats,
-    ) -> Result<RawHarvest, Infallible> {
-        let t0 = Instant::now();
-        let ms = &self.live[&parent];
-        let q = &tree.node(parent).pattern;
+    fn harvest(&mut self, tree: &GenTree, parent: usize) -> Result<RawHarvest, Infallible> {
+        let (q, ms) = (&tree.node(parent).pattern, &self.live[&parent]);
         let raw = harvest_range_cached(q, ms, self.g, self.cfg, 0, ms.len(), &mut self.sig_cache);
-        stats.spawning_work += raw.work;
-        stats.spawning_harvest_time += t0.elapsed();
-        stats.spawning_time += t0.elapsed();
         Ok(raw)
     }
 
@@ -114,14 +104,11 @@ impl Executor for Inline<'_> {
         &mut self,
         tree: &GenTree,
         spawns: &[Spawn],
-        stats: &mut DiscoveryStats,
         keep: &mut dyn FnMut(Joined) -> bool,
     ) -> Result<(), Infallible> {
         for s in spawns {
-            let t0 = Instant::now();
             let pms = &self.live[&s.parent];
             let ms = extend_matches(&tree.node(s.parent).pattern, pms, &s.ext, self.g);
-            stats.matching_time += t0.elapsed();
             let support = distinct_pivots(&ms, tree.node(s.child).pattern.pivot());
             if keep(Joined {
                 rows: ms.len(),
@@ -138,9 +125,9 @@ impl Executor for Inline<'_> {
         tree: &GenTree,
         jobs: Vec<MineJob>,
         _harvest_next: bool,
-        stats: &mut DiscoveryStats,
-    ) -> Result<Vec<MineOutcome>, Infallible> {
+    ) -> Result<Mined, Infallible> {
         let mut outcomes = Vec::with_capacity(jobs.len());
+        let mut catalog_time = Duration::ZERO;
         for job in jobs {
             let t0 = Instant::now();
             let ms = &self.live[&job.node];
@@ -151,22 +138,22 @@ impl Executor for Inline<'_> {
                 self.cfg.sigma.min(job.rows),
                 self.cfg.max_catalog_literals,
             );
-            stats.catalog_time += t0.elapsed();
-            let t1 = Instant::now();
+            catalog_time += t0.elapsed();
             let mut covered = job.covered;
             let mut eval = TableEvaluator::new(&table);
             let (deps, hstats) =
                 mine_dependencies_with(&mut eval, &catalog, &mut covered, self.cfg);
-            stats.evaluation_work += eval.work();
-            stats.lattice_time += t1.elapsed();
-            stats.validation_time += t0.elapsed();
             outcomes.push(MineOutcome {
                 deps,
                 covered,
                 hstats,
+                work: eval.work(),
             });
         }
-        Ok(outcomes)
+        Ok(Mined {
+            outcomes,
+            catalog_time,
+        })
     }
 
     fn level_done(&mut self, driver: &Driver<'_>, level: usize) -> Result<(), Infallible> {

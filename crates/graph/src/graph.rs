@@ -548,11 +548,6 @@ impl Graph {
         (0..self.labels.len()).map(NodeId::from_index)
     }
 
-    /// Iterator over all edge ids.
-    pub fn edge_ids(&self) -> impl Iterator<Item = EdgeId> + '_ {
-        (0..self.edges.len()).map(EdgeId::from_index)
-    }
-
     /// All edges, in insertion order.
     pub fn edges(&self) -> &[Edge] {
         &self.edges
@@ -787,17 +782,6 @@ impl Graph {
         let lo = lo_bound + nbrs.partition_point(|&d| d < dst);
         let hi = lo_bound + nbrs.partition_point(|&d| d <= dst);
         (&self.out.list[lo..hi], &self.out.labels[lo..hi])
-    }
-
-    /// Edge ids from `dst`'s in-adjacency arriving from `src`, plus the
-    /// parallel label slice (the in-side mirror of
-    /// [`Graph::edges_between_labeled`], same edge set).
-    pub fn in_edges_between_labeled(&self, dst: NodeId, src: NodeId) -> (&[EdgeId], &[LabelId]) {
-        let (lo_bound, hi_bound) = self.inn.bounds(dst);
-        let nbrs = &self.inn.nbrs[lo_bound..hi_bound];
-        let lo = lo_bound + nbrs.partition_point(|&d| d < src);
-        let hi = lo_bound + nbrs.partition_point(|&d| d <= src);
-        (&self.inn.list[lo..hi], &self.inn.labels[lo..hi])
     }
 
     /// Whether an edge `src → dst` with exactly label `label` exists

@@ -5,9 +5,10 @@
 //! change a verdict only for a match that contains a node the batch
 //! touches. The monitor re-checks exactly those matches:
 //!
-//! 1. each rule keeps one compiled plan per pattern variable
-//!    ([`CompiledPattern::compile_bound`]); seeding the plan of `x` at a
-//!    node `v` enumerates exactly the matches with `h(x) = v`;
+//! 1. each rule's pattern has one compiled plan per pattern variable
+//!    ([`CompiledPattern::compile_bound`]), shared by every rule on that
+//!    pattern; seeding the plan of `x` at a node `v` enumerates exactly
+//!    the matches with `h(x) = v`;
 //! 2. an attribute op on `(v, A)` can flip a match only if the match maps
 //!    `v` to a variable whose literals read `A`. A read-set index
 //!    `A → [(rule, x)]`, built with the plans, names those anchors, and
@@ -36,7 +37,7 @@ use std::sync::Arc;
 
 use gfd_core::BoundValidator;
 use gfd_extended::{Operand, XGfd, XRhs};
-use gfd_graph::{AttrId, Graph, NodeId};
+use gfd_graph::{AttrId, FxHashMap, Graph, NodeId};
 use gfd_logic::{Gfd, Literal, Rhs};
 use gfd_pattern::{CompiledPattern, MatcherScratch, Pattern, Var};
 
@@ -167,7 +168,7 @@ type Anchor = (usize, Var, NodeId);
 /// A match keyed by its pivot image, the order of the stored violations.
 type Keyed = (NodeId, Vec<NodeId>);
 
-/// One rule's compiled plans: one rooted at each pattern variable.
+/// One pattern's compiled plans: one rooted at each pattern variable.
 #[derive(Clone)]
 struct RulePlans {
     /// Rooted at the pivot: the initial enumeration and every entity read
@@ -260,11 +261,11 @@ pub struct MonitorStats {
     /// Deterministic memory-touch meter of the bound literal evaluation
     /// (see [`BoundValidator::work`]).
     pub validation_work: u64,
-    /// Rules whose plan sets were compiled (fingerprint misses) across
+    /// Distinct patterns whose plan sets were compiled across
     /// construction and catalog refreshes.
     pub plans_compiled: u64,
-    /// Rules whose plan sets were served from the fingerprint cache
-    /// instead of recompiling.
+    /// Distinct patterns of a refreshed catalog whose plan sets carried
+    /// over from the previous catalog instead of recompiling.
     pub plan_cache_hits: u64,
 }
 
@@ -281,14 +282,14 @@ pub struct EntityVerdict {
 /// evolving graph.
 pub struct ViolationMonitor {
     rules: Vec<MonitorRule>,
-    /// Per rule: one plan per pattern variable (plans are
-    /// graph-independent). `Arc`-shared with `plan_cache` so a catalog
-    /// refresh reuses unchanged rules' plans.
+    /// Per rule: its pattern's plan set, `Arc`-shared with `plan_cache`
+    /// and with every other rule on the same pattern.
     plans: Vec<RulePlans>,
-    /// Plan sets keyed by rule fingerprint — survives catalog refreshes,
-    /// so re-registering an unchanged rule costs a map lookup, not a plan
-    /// compilation.
-    plan_cache: BTreeMap<String, RulePlans>,
+    /// Plan sets keyed by pattern, pivot included: plans are
+    /// graph-independent and depend on nothing else. Rebuilt from the
+    /// rule list on every install, so a refresh keeps the plans of the
+    /// patterns that stay and drops the rest.
+    plan_cache: FxHashMap<Pattern, RulePlans>,
     /// Read-set index: per attribute, the `(rule, variable)` pairs whose
     /// literals read it, in rule and then variable order.
     readers: BTreeMap<AttrId, Vec<(usize, Var)>>,
@@ -299,13 +300,6 @@ pub struct ViolationMonitor {
     stats: MonitorStats,
 }
 
-/// Deterministic plan-cache key: the rule's full structural debug form
-/// (pattern, literals, thresholds) — identical rules collide, any change
-/// misses.
-fn rule_fingerprint(rule: &MonitorRule) -> String {
-    format!("{rule:?}")
-}
-
 impl ViolationMonitor {
     /// Builds the monitor over its own copy of `g` with a full initial
     /// validation pass.
@@ -313,7 +307,7 @@ impl ViolationMonitor {
         let mut mon = ViolationMonitor {
             rules: Vec::new(),
             plans: Vec::new(),
-            plan_cache: BTreeMap::new(),
+            plan_cache: FxHashMap::default(),
             readers: BTreeMap::new(),
             graph: g.clone(),
             violations: Vec::new(),
@@ -323,47 +317,51 @@ impl ViolationMonitor {
         mon
     }
 
-    /// Replaces the monitored rule set and revalidates. Plans for rules
-    /// whose fingerprint is already cached (unchanged across the refresh)
-    /// are reused instead of recompiled.
+    /// Replaces the monitored rule set and revalidates. Plans of the
+    /// patterns the old rule set already had are reused instead of
+    /// recompiled; plans no new rule uses are dropped.
     pub fn refresh_catalog(&mut self, rules: Vec<MonitorRule>) {
         self.install_rules(rules);
     }
 
     fn install_rules(&mut self, rules: Vec<MonitorRule>) {
-        // The uncached rules' pivot plans are compiled first and the other
+        // The new patterns' pivot plans are compiled first and their other
         // variables' plans after them, so the pivot plans that every
-        // entity read walks lie together in memory.
-        let keys: Vec<String> = rules.iter().map(rule_fingerprint).collect();
-        let pivots: Vec<Option<Arc<CompiledPattern>>> = rules
-            .iter()
-            .zip(&keys)
-            .map(|(r, key)| {
-                (!self.plan_cache.contains_key(key))
-                    .then(|| Arc::new(CompiledPattern::new(r.pattern())))
-            })
-            .collect();
+        // entity read walks lie together in memory. The previous map drops
+        // at the end with the plans no rule uses any more.
+        let mut previous = std::mem::take(&mut self.plan_cache);
+        let mut fresh: Vec<&Pattern> = Vec::new();
+        for q in rules.iter().map(MonitorRule::pattern) {
+            if self.plan_cache.contains_key(q) {
+                continue;
+            }
+            let plans = match previous.remove(q) {
+                Some(plans) => {
+                    self.stats.plan_cache_hits += 1;
+                    plans
+                }
+                None => {
+                    self.stats.plans_compiled += 1;
+                    fresh.push(q);
+                    RulePlans {
+                        pivot: Arc::new(CompiledPattern::new(q)),
+                        others: Arc::new([]),
+                    }
+                }
+            };
+            self.plan_cache.insert(q.clone(), plans);
+        }
+        for q in fresh {
+            if let Some(plans) = self.plan_cache.get_mut(q) {
+                plans.others = (0..q.node_count())
+                    .filter(|&x| x != q.pivot())
+                    .map(|x| CompiledPattern::compile_bound(q, x))
+                    .collect();
+            }
+        }
         self.plans = rules
             .iter()
-            .zip(keys)
-            .zip(pivots)
-            .map(|((r, key), pivot)| {
-                if let Some(plans) = self.plan_cache.get(&key) {
-                    self.stats.plan_cache_hits += 1;
-                    return plans.clone();
-                }
-                self.stats.plans_compiled += 1;
-                let q = r.pattern();
-                let plans = RulePlans {
-                    pivot: pivot.expect("the cache only grows, so the rule was uncached above"),
-                    others: (0..q.node_count())
-                        .filter(|&x| x != q.pivot())
-                        .map(|x| CompiledPattern::compile_bound(q, x))
-                        .collect(),
-                };
-                self.plan_cache.insert(key, plans.clone());
-                plans
-            })
+            .map(|r| self.plan_cache[r.pattern()].clone())
             .collect();
         self.readers = BTreeMap::new();
         for (i, rule) in rules.iter().enumerate() {
@@ -783,34 +781,48 @@ mod tests {
         }
     }
 
-    /// A catalog refresh with unchanged rules hits the plan cache instead
-    /// of recompiling; changed rules compile exactly once.
+    /// Plans are compiled once per pattern: rules on one pattern share a
+    /// plan set, a refresh reuses the plans of the patterns that stay, and
+    /// a pattern no rule uses any more leaves the cache.
     #[test]
     fn refresh_catalog_reuses_cached_plans() {
         let (g, rules) = fixture();
+        let product = PLabel::Is(g.interner().lookup_label("product").unwrap());
+        let ty = g.interner().lookup_attr("type").unwrap();
+        let on = |q: &Pattern, var: usize, value: i64| -> MonitorRule {
+            let rhs = Rhs::Lit(Literal::constant(var, ty, Value::Int(value)));
+            Gfd::new(q.clone(), vec![], rhs).into()
+        };
+        let edge = rules[0].pattern().clone();
+        let single = Pattern::single(product);
+
         let mut mon = ViolationMonitor::new(&g, rules.clone());
         assert_eq!(mon.stats().plans_compiled, 1);
         assert_eq!(mon.stats().plan_cache_hits, 0);
-
         mon.refresh_catalog(rules.clone());
         assert_eq!(mon.stats().plans_compiled, 1);
         assert_eq!(mon.stats().plan_cache_hits, 1);
 
-        // A genuinely new rule compiles; the unchanged one still hits.
-        let person = PLabel::Is(g.interner().lookup_label("person").unwrap());
-        let create = PLabel::Is(g.interner().lookup_label("create").unwrap());
-        let product = PLabel::Is(g.interner().lookup_label("product").unwrap());
-        let ty = g.interner().lookup_attr("type").unwrap();
-        let extra = Gfd::new(
-            Pattern::edge(person, create, product),
-            vec![],
-            Rhs::Lit(Literal::constant(1, ty, Value::Int(0))),
-        );
-        let mut both = rules;
-        both.push(extra.into());
-        mon.refresh_catalog(both);
+        // Two more rules on φ1's pattern share its plan set; a rule on a
+        // new pattern compiles one.
+        let mut more = rules.clone();
+        more.extend([on(&edge, 1, 0), on(&edge, 0, 1), on(&single, 0, 2)]);
+        mon.refresh_catalog(more);
         assert_eq!(mon.stats().plans_compiled, 2);
         assert_eq!(mon.stats().plan_cache_hits, 2);
+        assert_eq!(mon.plan_cache.len(), 2);
+        assert!(Arc::ptr_eq(&mon.plans[0].pivot, &mon.plans[2].pivot));
+
+        // Dropping the single-node rule evicts its pattern's plans, so the
+        // pattern compiles afresh when a rule on it comes back.
+        mon.refresh_catalog(rules.clone());
+        assert_eq!(mon.plan_cache.len(), 1);
+        assert!(!mon.plan_cache.contains_key(&single));
+        let mut back = rules;
+        back.push(on(&single, 0, 3));
+        mon.refresh_catalog(back);
+        assert_eq!(mon.stats().plans_compiled, 3);
+        assert_eq!(mon.stats().plan_cache_hits, 4);
     }
 
     /// An attribute-only batch patches the graph in place: the edge array

@@ -1,7 +1,7 @@
 //! Graph functional dependencies `Q[x̄](X → Y)` (§2.2).
 
 use gfd_graph::Interner;
-use gfd_pattern::{Pattern, Var};
+use gfd_pattern::Pattern;
 
 use crate::closure::Closure;
 use crate::literal::{normalize_literals, Literal};
@@ -108,17 +108,6 @@ impl Gfd {
             Rhs::Lit(l) => c.holds(l),
             Rhs::False => false,
         }
-    }
-
-    /// Remaps all literals by `f` (an embedding image vector); the pattern
-    /// is replaced by `into` which must contain the image variables.
-    pub fn remap_into(&self, f: &[Var], into: Pattern) -> Gfd {
-        let lhs = self.lhs.iter().map(|l| l.remap(f)).collect();
-        let rhs = match self.rhs {
-            Rhs::Lit(l) => Rhs::Lit(l.remap(f)),
-            Rhs::False => Rhs::False,
-        };
-        Gfd::new(into, lhs, rhs)
     }
 
     /// Human-readable rendering, e.g.

@@ -219,10 +219,11 @@ pub enum TaskResult {
     },
     /// Literal-candidate counts of a local table.
     Counts(Box<CatalogCounts>),
-    /// Partial candidate evaluation.
-    Stats(Box<PartialStats>),
-    /// Local LHS emptiness.
-    Empty(bool),
+    /// Partial candidate evaluation, and the [`BitmapIndex::work`] it
+    /// added.
+    Stats(Box<PartialStats>, u64),
+    /// Local LHS emptiness, and the [`BitmapIndex::work`] the test added.
+    Empty(bool, u64),
     /// Extracted matches.
     Matches(MatchSet),
 }
@@ -380,18 +381,20 @@ impl WorkerCtx {
                 (TaskResult::Counts(Box::new(counts)), cost)
             }
             Task::Evaluate { node, x, rhs } => match self.tables.get_mut(&node) {
-                Some((t, idx)) => (
-                    TaskResult::Stats(Box::new(idx.partial_evaluate(t, &x, &rhs))),
-                    t.rows() as u64,
-                ),
-                None => (TaskResult::Stats(Box::default()), 1),
+                Some((t, idx)) => {
+                    let w0 = idx.work();
+                    let stats = Box::new(idx.partial_evaluate(t, &x, &rhs));
+                    (TaskResult::Stats(stats, idx.work() - w0), t.rows() as u64)
+                }
+                None => (TaskResult::Stats(Box::default(), 0), 1),
             },
             Task::LhsEmpty { node, x } => match self.tables.get_mut(&node) {
-                Some((t, idx)) => (
-                    TaskResult::Empty(!idx.lhs_satisfiable(t, &x)),
-                    t.rows() as u64,
-                ),
-                None => (TaskResult::Empty(true), 1),
+                Some((t, idx)) => {
+                    let w0 = idx.work();
+                    let empty = !idx.lhs_satisfiable(t, &x);
+                    (TaskResult::Empty(empty, idx.work() - w0), t.rows() as u64)
+                }
+                None => (TaskResult::Empty(true, 0), 1),
             },
             Task::TakeMatches { node } => {
                 let arity = self

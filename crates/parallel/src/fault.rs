@@ -33,7 +33,7 @@ use std::path::Path;
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
-use gfd_core::{Covered, DiscoveredGfd, DiscoveryStats, HSpawnStats};
+use gfd_core::{Covered, DiscoveredGfd, DiscoveryStats};
 use gfd_graph::{AttrId, LabelId, NodeId, SymbolId, Value};
 use gfd_logic::{Gfd, Literal, Rhs};
 use gfd_pattern::{MatchSet, PEdge, PLabel, Pattern};
@@ -188,14 +188,6 @@ impl FaultConfig {
             after_units,
         });
         self
-    }
-
-    /// Whether the config injects or tolerates anything at all.
-    pub fn is_active(&self) -> bool {
-        self.seed.is_some()
-            || !self.explicit.is_empty()
-            || self.speculate_after.is_some()
-            || self.wave_timeout.is_some()
     }
 
     /// Parses the CLI fault-plan syntax: a comma-separated list of
@@ -607,11 +599,10 @@ pub struct Checkpoint {
     pub cfg_fingerprint: u64,
     /// Last fully completed (and emitted) level.
     pub level: usize,
-    /// Semantic lattice counters at the cut (timings and fault counters
-    /// restart from zero on resume).
-    pub counters: [usize; 5],
-    /// `HSpawnStats` counters at the cut.
-    pub hspawn: HSpawnStats,
+    /// The run's counters at the cut. The text form carries the pattern,
+    /// lattice and work counters; timings and fault counters restart from
+    /// zero on resume.
+    pub stats: DiscoveryStats,
     /// Rules emitted so far, in emission order.
     pub rules: Vec<DiscoveredGfd>,
     /// Negative patterns emitted so far (the `NVSpawn` embedding filter).
@@ -632,28 +623,6 @@ pub fn config_fingerprint(cfg: &impl fmt::Debug) -> u64 {
 }
 
 impl Checkpoint {
-    /// Records the semantic counters of `stats` in the snapshot.
-    pub fn record_stats(&mut self, stats: &DiscoveryStats) {
-        self.counters = [
-            stats.patterns_spawned,
-            stats.patterns_verified,
-            stats.patterns_empty,
-            stats.patterns_infrequent,
-            stats.patterns_deduped,
-        ];
-        self.hspawn = stats.hspawn;
-    }
-
-    /// Restores the semantic counters into `stats`.
-    pub fn restore_stats(&self, stats: &mut DiscoveryStats) {
-        stats.patterns_spawned = self.counters[0];
-        stats.patterns_verified = self.counters[1];
-        stats.patterns_empty = self.counters[2];
-        stats.patterns_infrequent = self.counters[3];
-        stats.patterns_deduped = self.counters[4];
-        stats.hspawn = self.hspawn;
-    }
-
     /// Rejects a snapshot taken on a different graph or configuration.
     pub fn validate(&self, nodes: usize, edges: usize, cfg_fp: u64) -> Result<(), FaultError> {
         if (self.graph_nodes, self.graph_edges) != (nodes, edges) {
@@ -696,26 +665,31 @@ impl Checkpoint {
     /// structure is cosmetic).
     pub fn to_text(&self) -> String {
         let mut s = String::new();
-        s.push_str("gfd-checkpoint 1\n");
+        s.push_str("gfd-checkpoint 2\n");
         s.push_str(&format!(
             "graph {} {}\ncfg {}\nlevel {}\n",
             self.graph_nodes, self.graph_edges, self.cfg_fingerprint, self.level
         ));
+        let (st, h) = (&self.stats, &self.stats.hspawn);
         s.push_str(&format!(
             "counters {} {} {} {} {}\n",
-            self.counters[0],
-            self.counters[1],
-            self.counters[2],
-            self.counters[3],
-            self.counters[4]
+            st.patterns_spawned,
+            st.patterns_verified,
+            st.patterns_empty,
+            st.patterns_infrequent,
+            st.patterns_deduped
         ));
         s.push_str(&format!(
             "hspawn {} {} {} {} {}\n",
-            self.hspawn.candidates,
-            self.hspawn.pruned_support,
-            self.hspawn.pruned_covered,
-            self.hspawn.pruned_trivial,
-            self.hspawn.negative_candidates
+            h.candidates,
+            h.pruned_support,
+            h.pruned_covered,
+            h.pruned_trivial,
+            h.negative_candidates
+        ));
+        s.push_str(&format!(
+            "work {} {}\n",
+            st.spawning_work, st.evaluation_work
         ));
         s.push_str(&format!("rules {}\n", self.rules.len()));
         for r in &self.rules {
@@ -774,12 +748,14 @@ impl Checkpoint {
         s
     }
 
-    /// Parses [`Checkpoint::to_text`]'s output.
+    /// Parses [`Checkpoint::to_text`]'s output. Version 1 snapshots carry
+    /// no work meters, so a resume from one could not reproduce a cold
+    /// run's counters: they are rejected like any other version.
     pub fn from_text(text: &str) -> Result<Checkpoint, FaultError> {
         let mut t = Toks::new(text);
         t.expect_tok("gfd-checkpoint")?;
         let version = t.usize_("version")?;
-        if version != 1 {
+        if version != 2 {
             return Err(ck_err(format!("unsupported checkpoint version {version}")));
         }
         let mut ck = Checkpoint::default();
@@ -790,16 +766,22 @@ impl Checkpoint {
         ck.cfg_fingerprint = t.u64_("cfg fingerprint")?;
         t.expect_tok("level")?;
         ck.level = t.usize_("level")?;
+        let st = &mut ck.stats;
         t.expect_tok("counters")?;
-        for c in ck.counters.iter_mut() {
-            *c = t.usize_("counter")?;
-        }
+        st.patterns_spawned = t.usize_("counter")?;
+        st.patterns_verified = t.usize_("counter")?;
+        st.patterns_empty = t.usize_("counter")?;
+        st.patterns_infrequent = t.usize_("counter")?;
+        st.patterns_deduped = t.usize_("counter")?;
         t.expect_tok("hspawn")?;
-        ck.hspawn.candidates = t.usize_("hspawn")?;
-        ck.hspawn.pruned_support = t.usize_("hspawn")?;
-        ck.hspawn.pruned_covered = t.usize_("hspawn")?;
-        ck.hspawn.pruned_trivial = t.usize_("hspawn")?;
-        ck.hspawn.negative_candidates = t.usize_("hspawn")?;
+        st.hspawn.candidates = t.usize_("hspawn")?;
+        st.hspawn.pruned_support = t.usize_("hspawn")?;
+        st.hspawn.pruned_covered = t.usize_("hspawn")?;
+        st.hspawn.pruned_trivial = t.usize_("hspawn")?;
+        st.hspawn.negative_candidates = t.usize_("hspawn")?;
+        t.expect_tok("work")?;
+        st.spawning_work = t.u64_("work")?;
+        st.evaluation_work = t.u64_("work")?;
         t.expect_tok("rules")?;
         let nrules = t.usize_("rule count")?;
         for _ in 0..nrules {
@@ -1147,12 +1129,24 @@ mod tests {
             }],
             ..Checkpoint::default()
         };
-        ck.counters = [9, 8, 7, 6, 5];
-        ck.hspawn.candidates = 11;
-        ck.hspawn.negative_candidates = 4;
+        ck.stats.patterns_spawned = 9;
+        ck.stats.patterns_deduped = 5;
+        ck.stats.hspawn.candidates = 11;
+        ck.stats.hspawn.negative_candidates = 4;
+        ck.stats.spawning_work = 123;
+        ck.stats.evaluation_work = 4567;
 
         let back = Checkpoint::from_text(&ck.to_text()).expect("round trip");
         assert_eq!(ck.to_text(), back.to_text());
+        assert_eq!(back.stats.evaluation_work, 4567);
+        // A version-1 snapshot (no work meters) is refused, not resumed.
+        let v1 = ck
+            .to_text()
+            .replacen("gfd-checkpoint 2", "gfd-checkpoint 1", 1);
+        assert!(matches!(
+            Checkpoint::from_text(&v1),
+            Err(FaultError::Checkpoint(_))
+        ));
         assert_eq!(back.rules.len(), 2);
         assert_eq!(back.rules[0].confidence.to_bits(), 0.875f64.to_bits());
         assert_eq!(back.frontier[0].matches.len(), 2);

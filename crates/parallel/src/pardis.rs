@@ -28,8 +28,8 @@ use std::time::{Duration, Instant};
 
 use gfd_core::{
     mine_dependencies_with, CandidateEvaluator, CandidateStats, CatalogCounts, DiscoveryConfig,
-    DiscoveryResult, DiscoveryStats, Driver, Executor, GenTree, Joined, LiteralCatalog, MineJob,
-    MineOutcome, PartialStats, ProposalAccumulator, RawHarvest, Spawn,
+    DiscoveryResult, Driver, Executor, GenTree, Joined, LiteralCatalog, MineJob, MineOutcome,
+    Mined, PartialStats, ProposalAccumulator, RawHarvest, Spawn,
 };
 use gfd_graph::{AttrId, Graph, NodeId};
 use gfd_logic::{Literal, Rhs};
@@ -39,7 +39,7 @@ use crate::fault::FaultError;
 use crate::partition::edge_cut;
 
 /// Outcome of a parallel discovery run.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct ParDisReport {
     /// The mined set `Σ` (identical to `SeqDis` output).
     pub result: DiscoveryResult,
@@ -70,23 +70,13 @@ pub struct ParDisReport {
 /// refcount per worker, not the literal vector), and the per-broadcast
 /// scratch (`bytes`, the merged partials) lives on the evaluator — this
 /// loop runs once per lattice candidate, hundreds of thousands of times
-/// per discovery.
+/// per discovery. `work` sums the fragments' evaluation meters.
 struct ClusterEvaluator<'a> {
     cluster: &'a mut Cluster,
     node: usize,
     bytes: Vec<usize>,
     acc: PartialStats,
-}
-
-impl<'a> ClusterEvaluator<'a> {
-    fn new(cluster: &'a mut Cluster, node: usize) -> ClusterEvaluator<'a> {
-        ClusterEvaluator {
-            cluster,
-            node,
-            bytes: Vec::new(),
-            acc: PartialStats::default(),
-        }
-    }
+    work: u64,
 }
 
 impl CandidateEvaluator for ClusterEvaluator<'_> {
@@ -105,9 +95,10 @@ impl CandidateEvaluator for ClusterEvaluator<'_> {
         self.acc = PartialStats::default();
         self.bytes.clear();
         for r in &results {
-            if let TaskResult::Stats(s) = r {
+            if let TaskResult::Stats(s, work) = r {
                 self.acc.merge(s);
                 self.bytes.push(s.byte_size());
+                self.work += work;
             }
         }
         self.cluster.charge_comm(&self.bytes);
@@ -115,17 +106,27 @@ impl CandidateEvaluator for ClusterEvaluator<'_> {
     }
 
     fn lhs_empty(&mut self, x: &[Literal]) -> bool {
-        let results = match self.cluster.broadcast(Task::LhsEmpty {
-            node: self.node,
-            x: x.into(),
-        }) {
-            Ok(r) => r,
-            Err(_) => return true,
-        };
+        let results = self
+            .cluster
+            .broadcast(Task::LhsEmpty {
+                node: self.node,
+                x: x.into(),
+            })
+            .unwrap_or_default();
         self.bytes.clear();
         self.bytes.resize(results.len(), 1);
         self.cluster.charge_comm(&self.bytes);
-        results.iter().all(|r| matches!(r, TaskResult::Empty(true)))
+        results.iter().fold(true, |all, r| match r {
+            TaskResult::Empty(empty, work) => {
+                self.work += work;
+                all && *empty
+            }
+            _ => false,
+        })
+    }
+
+    fn work(&self) -> u64 {
+        self.work
     }
 }
 
@@ -203,7 +204,6 @@ pub fn par_dis(
     let cluster = exec.cluster;
     cluster.fstats.apply_to(&mut result.stats);
     let wall = wall0.elapsed();
-    result.stats.total_time = wall;
     Ok(ParDisReport {
         result,
         wall,
@@ -246,12 +246,7 @@ impl Executor for Broadcasts<'_> {
         Ok(())
     }
 
-    fn harvest(
-        &mut self,
-        _tree: &GenTree,
-        parent: usize,
-        _stats: &mut DiscoveryStats,
-    ) -> Result<RawHarvest, FaultError> {
+    fn harvest(&mut self, _tree: &GenTree, parent: usize) -> Result<RawHarvest, FaultError> {
         // Per-fragment results fold through the same `ProposalAccumulator`
         // merge path the work-stealing runtime uses per worker.
         let results = self.cluster.broadcast(Task::Harvest {
@@ -276,7 +271,6 @@ impl Executor for Broadcasts<'_> {
         &mut self,
         tree: &GenTree,
         spawns: &[Spawn],
-        _stats: &mut DiscoveryStats,
         keep: &mut dyn FnMut(Joined) -> bool,
     ) -> Result<(), FaultError> {
         for s in spawns {
@@ -306,11 +300,14 @@ impl Executor for Broadcasts<'_> {
         _tree: &GenTree,
         jobs: Vec<MineJob>,
         _harvest_next: bool,
-        _stats: &mut DiscoveryStats,
-    ) -> Result<Vec<MineOutcome>, FaultError> {
-        jobs.into_iter()
-            .map(|job| mine_node(&mut self.cluster, job, &self.attrs, self.cfg))
-            .collect()
+    ) -> Result<Mined, FaultError> {
+        let mut mined = Mined::default();
+        for job in jobs {
+            let (cluster, attrs) = (&mut self.cluster, &self.attrs);
+            let o = mine_node(cluster, job, attrs, self.cfg, &mut mined.catalog_time)?;
+            mined.outcomes.push(o);
+        }
+        Ok(mined)
     }
 
     fn level_done(&mut self, driver: &Driver<'_>, level: usize) -> Result<(), FaultError> {
@@ -406,14 +403,17 @@ fn rebalance_if_skewed(
     Ok(())
 }
 
-/// Parallel horizontal spawning on one verified pattern.
+/// Parallel horizontal spawning on one verified pattern; adds the fragment
+/// table builds and the catalog merge to `catalog_time`.
 fn mine_node(
     cluster: &mut Cluster,
     job: MineJob,
     attrs: &[AttrId],
     cfg: &DiscoveryConfig,
+    catalog_time: &mut Duration,
 ) -> Result<MineOutcome, FaultError> {
     // Build fragment tables, merge literal-candidate counts.
+    let t0 = Instant::now();
     let count_results = cluster.broadcast(Task::BuildTable {
         node: job.node,
         attrs: attrs.to_vec(),
@@ -435,12 +435,18 @@ fn mine_node(
     );
     cluster.charge_master(m0.elapsed());
     cluster.charge_comm(&bytes);
+    *catalog_time += t0.elapsed();
 
     let mut covered = job.covered;
-    let (deps, hstats) = {
-        let mut eval = ClusterEvaluator::new(cluster, job.node);
-        mine_dependencies_with(&mut eval, &catalog, &mut covered, cfg)
+    let mut eval = ClusterEvaluator {
+        cluster,
+        node: job.node,
+        bytes: Vec::new(),
+        acc: PartialStats::default(),
+        work: 0,
     };
+    let (deps, hstats) = mine_dependencies_with(&mut eval, &catalog, &mut covered, cfg);
+    let work = eval.work();
     // The evaluator swallows barrier errors (the trait cannot carry
     // them); surface the sticky failure before returning a partial
     // outcome.
@@ -450,6 +456,7 @@ fn mine_node(
         deps,
         covered,
         hstats,
+        work,
     })
 }
 

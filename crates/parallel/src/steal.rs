@@ -44,8 +44,11 @@
 //! roots' seed wave, each level's join wave, and each level's build and
 //! `MineRhs` waves (the build wave also harvests the next level). Unit
 //! results merge in unit order, so the mined `DiscoveryResult` — rules,
-//! supports, statistics — matches the sequential algorithm's, and two runs
-//! on the same input are identical regardless of thread interleaving.
+//! supports, pattern and lattice counters — matches the sequential
+//! algorithm's, and two runs on the same input are identical regardless
+//! of thread interleaving. Evaluation units return their bitmap-index
+//! meters with their results, so `evaluation_work` counts each accepted
+//! unit once.
 //! [`crate::parcover`]'s steal path uses the same pool.
 //!
 //! **Fault tolerance.** Determinism makes recovery output-invariant, so the
@@ -70,9 +73,9 @@ use crossbeam::deque::{Injector, Steal};
 use gfd_core::{
     finish_negatives, harvest_range_cached, merge_rhs_outcome, mine_dependencies_with,
     mine_rhs_with, BitmapIndex, CandidateEvaluator, CandidateStats, CatalogCounts, Covered,
-    DiscoveryConfig, DiscoveryStats, Driver, Executor, GenTree, HSpawnStats, Joined,
-    LiteralCatalog, MatchTable, MineJob, MineOutcome, MinedDependency, PartialStats,
-    ProposalAccumulator, RawHarvest, RhsMineOutcome, SignatureCache, Spawn,
+    DiscoveryConfig, Driver, Executor, GenTree, HSpawnStats, Joined, LiteralCatalog, MatchTable,
+    MineJob, MineOutcome, Mined, MinedDependency, PartialStats, ProposalAccumulator, RawHarvest,
+    RhsMineOutcome, SignatureCache, Spawn,
 };
 use gfd_graph::{AttrId, FxHashMap, Graph, NodeId};
 use gfd_logic::ClosureScratch;
@@ -405,12 +408,15 @@ pub enum UnitResult {
     },
     /// Literal-candidate counts of one shard.
     Counts(Box<CatalogCounts>),
-    /// Partial candidate evaluation of one shard.
-    Stats(Box<PartialStats>),
-    /// Shard-local LHS emptiness.
-    Empty(bool),
-    /// One consequence's mined sub-lattice.
-    RhsMined(Box<RhsMineOutcome>),
+    /// Partial candidate evaluation of one shard, and the
+    /// [`BitmapIndex::work`] it added.
+    Stats(Box<PartialStats>, u64),
+    /// Shard-local LHS emptiness, and the [`BitmapIndex::work`] the test
+    /// added.
+    Empty(bool, u64),
+    /// One consequence's mined sub-lattice, and the [`BitmapIndex::work`]
+    /// its evaluations added.
+    RhsMined(Box<RhsMineOutcome>, u64),
 }
 
 /// Cached shards per worker before a wholesale eviction. Shards are small
@@ -540,18 +546,18 @@ impl WorkerState {
             } => {
                 let (t, idx) = self.shard(&spec, range);
                 let w0 = idx.work();
-                let stats = idx.partial_evaluate(t, &x, &rhs);
+                let stats = Box::new(idx.partial_evaluate(t, &x, &rhs));
                 // Metered by the evaluator's deterministic memory-touch
                 // counter, the same currency as the MineRhs units.
-                let cost = (idx.work() - w0).max(1);
-                (UnitResult::Stats(Box::new(stats)), cost)
+                let work = idx.work() - w0;
+                (UnitResult::Stats(stats, work), work.max(1))
             }
             Unit::LhsEmpty { spec, range, x } => {
                 let (t, idx) = self.shard(&spec, range);
                 let w0 = idx.work();
                 let empty = !idx.lhs_satisfiable(t, &x);
-                let cost = (idx.work() - w0).max(1);
-                (UnitResult::Empty(empty), cost)
+                let work = idx.work() - w0;
+                (UnitResult::Empty(empty, work), work.max(1))
             }
             Unit::MineRhs {
                 spec,
@@ -578,9 +584,9 @@ impl WorkerState {
                 // the prefix-shared DFS's real word-level savings now show
                 // up as modelled savings (the shard build itself is
                 // charged by its BuildRange unit).
-                let dw = eval.idx.work() - w0;
-                let cost = rows.max(1) as u64 + dw;
-                (UnitResult::RhsMined(Box::new(o)), cost)
+                let work = eval.idx.work() - w0;
+                let cost = rows.max(1) as u64 + work;
+                (UnitResult::RhsMined(Box::new(o), work), cost)
             }
         }
     }
@@ -1386,9 +1392,11 @@ impl Drop for StealPool {
 /// [`CandidateEvaluator`] that scatters each candidate over the spec's
 /// ranges as `(rule, pivot-range)` units and merges the partial statistics
 /// in range order — the pool-backed twin of [`gfd_core::RangeEvaluator`].
+/// `work` sums the accepted units' evaluation meters.
 struct PoolEvaluator<'a> {
     pool: &'a mut StealPool,
     spec: Arc<EvalSpec>,
+    work: u64,
 }
 
 impl CandidateEvaluator for PoolEvaluator<'_> {
@@ -1406,11 +1414,10 @@ impl CandidateEvaluator for PoolEvaluator<'_> {
         // A wave failure cannot surface through this trait; the sticky
         // error is re-checked by the driver (`pool.check()`) right after
         // mining, so the neutral value returned here is never emitted.
-        if let Ok(results) = self.pool.run_wave(units) {
-            for r in results {
-                if let UnitResult::Stats(s) = r {
-                    acc.merge(&s);
-                }
+        for r in self.pool.run_wave(units).unwrap_or_default() {
+            if let UnitResult::Stats(s, work) = r {
+                acc.merge(&s);
+                self.work += work;
             }
         }
         acc.finalize()
@@ -1425,10 +1432,20 @@ impl CandidateEvaluator for PoolEvaluator<'_> {
                 x: Arc::clone(&x),
             })
             .collect();
-        match self.pool.run_wave(units) {
-            Ok(results) => results.iter().all(|r| matches!(r, UnitResult::Empty(true))),
-            Err(_) => true,
-        }
+        // An empty `results` on a wave failure reads as empty; the sticky
+        // error is re-checked right after mining, as for `evaluate`.
+        let results = self.pool.run_wave(units).unwrap_or_default();
+        results.iter().fold(true, |all, r| match r {
+            UnitResult::Empty(empty, work) => {
+                self.work += work;
+                all && *empty
+            }
+            _ => false,
+        })
+    }
+
+    fn work(&self) -> u64 {
+        self.work
     }
 }
 
@@ -1439,10 +1456,11 @@ impl CandidateEvaluator for PoolEvaluator<'_> {
 /// Runs parallel discovery on the work-stealing pool. [`Driver`] owns the
 /// schedule and this module's executor runs its operations as waves, so
 /// the returned `DiscoveryResult` is identical to [`gfd_core::seq_dis`]'s
-/// (rules, supports, and counters; only timings differ), for every worker
+/// (rules, supports, and pattern and lattice counters), for every worker
 /// count and both execution modes — including runs recovering from
 /// injected faults, and runs resumed from a level checkpoint
-/// (`StealConfig::checkpoint` / `resume`).
+/// (`StealConfig::checkpoint` / `resume`). The work meters also depend on
+/// how the worker count cuts ranges (see [`gfd_core::DiscoveryStats`]).
 pub fn par_dis_steal(
     g: &Arc<Graph>,
     cfg: &DiscoveryConfig,
@@ -1471,7 +1489,6 @@ pub fn par_dis_steal(
     let pool = exec.pool;
     pool.fstats.apply_to(&mut result.stats);
     let wall = wall0.elapsed();
-    result.stats.total_time = wall;
     Ok(ParDisReport {
         result,
         wall,
@@ -1562,12 +1579,7 @@ impl Executor for Waves<'_> {
         Ok(())
     }
 
-    fn harvest(
-        &mut self,
-        tree: &GenTree,
-        parent: usize,
-        _stats: &mut DiscoveryStats,
-    ) -> Result<RawHarvest, FaultError> {
+    fn harvest(&mut self, tree: &GenTree, parent: usize) -> Result<RawHarvest, FaultError> {
         if !self.unharvested.is_empty() {
             // A resumed frontier: on the cold path its harvests rode the
             // build wave that died with the original run, so they run as
@@ -1589,7 +1601,6 @@ impl Executor for Waves<'_> {
         &mut self,
         tree: &GenTree,
         spawns: &[Spawn],
-        _stats: &mut DiscoveryStats,
         keep: &mut dyn FnMut(Joined) -> bool,
     ) -> Result<(), FaultError> {
         // One wave: all of the level's `(Q ⋈ e, pivot-range)` joins.
@@ -1647,8 +1658,7 @@ impl Executor for Waves<'_> {
         tree: &GenTree,
         jobs: Vec<MineJob>,
         harvest_next: bool,
-        _stats: &mut DiscoveryStats,
-    ) -> Result<Vec<MineOutcome>, FaultError> {
+    ) -> Result<Mined, FaultError> {
         let jobs = jobs
             .into_iter()
             .map(|job| Lattice {
@@ -1707,7 +1717,7 @@ impl Waves<'_> {
     /// level to continue at.
     fn restore(&mut self, driver: &mut Driver<'_>, ck: Checkpoint) -> Result<usize, FaultError> {
         ck.validate(self.g.node_count(), self.g.edge_count(), self.cfg_fp)?;
-        ck.restore_stats(&mut driver.result.stats);
+        driver.result.stats = ck.stats;
         driver.result.gfds = ck.rules;
         driver.negative_patterns = ck.negative_patterns;
         let (nodes, matches): (Vec<_>, Vec<_>) = ck
@@ -1746,18 +1756,16 @@ impl Waves<'_> {
                     })
                 })
                 .collect();
-            let mut ck = Checkpoint {
+            let ck = Checkpoint {
                 graph_nodes: self.g.node_count(),
                 graph_edges: self.g.edge_count(),
                 cfg_fingerprint: self.cfg_fp,
                 level,
-                counters: [0; 5],
-                hspawn: HSpawnStats::default(),
+                stats: driver.result.stats.clone(),
                 rules: driver.result.gfds.clone(),
                 negative_patterns: driver.negative_patterns.clone(),
                 frontier,
             };
-            ck.record_stats(&driver.result.stats);
             ck.save(path)?;
         }
         if self.scfg.halt_after_level == Some(level) {
@@ -1782,15 +1790,18 @@ impl Waves<'_> {
     ///    exactly);
     /// 3. the large patterns' lattices at the master, each candidate fanning
     ///    out as `(rule, pivot-range)` units with range affinity.
+    ///
+    /// Phase 1 is the catalog time, next-level harvests included.
     fn run_mining(
         &mut self,
         jobs: Vec<Lattice>,
         harvest_children: bool,
-    ) -> Result<Vec<MineOutcome>, FaultError> {
+    ) -> Result<Mined, FaultError> {
         let mut outcomes: Vec<Option<MineOutcome>> = jobs.iter().map(|_| None).collect();
 
         // Phase 1: shards + catalogs (+ next-level harvests) for every job,
         // one wave.
+        let t0 = Instant::now();
         let mut specs: Vec<(Arc<EvalSpec>, bool)> = Vec::with_capacity(jobs.len());
         let mut build_units: Vec<Unit> = Vec::new();
         for job in &jobs {
@@ -1845,6 +1856,7 @@ impl Waves<'_> {
             })
             .collect();
         self.pool.charge_master(m0.elapsed());
+        let catalog_time = t0.elapsed();
 
         // Phase 2: per-consequence sub-lattices for the small patterns. The
         // catalogs' exact per-literal row counts (the σ-bound scan's actual
@@ -1906,28 +1918,29 @@ impl Waves<'_> {
         // Heavy consequences mine after the light wave with the phase-3
         // evaluator; outcomes park in a map until the in-order merge below,
         // which reproduces `mine_dependencies`'s catalog order exactly.
-        let mut heavy_outcomes: FxHashMap<(usize, usize), RhsMineOutcome> = FxHashMap::default();
+        let mut heavy_outcomes: FxHashMap<(usize, usize), (RhsMineOutcome, u64)> =
+            FxHashMap::default();
         let mut closure = ClosureScratch::new();
         for (i, l_idx, hspec) in heavy {
             let l = catalogs[i].literals[l_idx];
-            let o = {
-                let mut eval = PoolEvaluator {
-                    pool: &mut self.pool,
-                    spec: hspec,
-                };
-                mine_rhs_with(
-                    &mut eval,
-                    &catalogs[i],
-                    l,
-                    &jobs[i].covered,
-                    &self.cfg,
-                    &mut closure,
-                )
+            let mut eval = PoolEvaluator {
+                pool: &mut self.pool,
+                spec: hspec,
+                work: 0,
             };
+            let o = mine_rhs_with(
+                &mut eval,
+                &catalogs[i],
+                l,
+                &jobs[i].covered,
+                &self.cfg,
+                &mut closure,
+            );
+            let work = eval.work();
             // The evaluator swallows wave errors (the trait cannot carry
             // them); surface the sticky failure before parking the outcome.
             self.pool.check()?;
-            heavy_outcomes.insert((i, l_idx), o);
+            heavy_outcomes.insert((i, l_idx), (o, work));
         }
         let m0 = Instant::now();
         for (i, job) in jobs.iter().enumerate() {
@@ -1938,14 +1951,16 @@ impl Waves<'_> {
             let mut covered = job.covered.clone();
             let mut negatives = FxHashMap::default();
             let mut hstats = HSpawnStats::default();
+            let mut work = 0;
             for l_idx in 0..catalogs[i].literals.len() {
-                let o = match heavy_outcomes.remove(&(i, l_idx)) {
-                    Some(o) => o,
+                let (o, w) = match heavy_outcomes.remove(&(i, l_idx)) {
+                    Some(parked) => parked,
                     None => match rhs_results.next() {
-                        Some(UnitResult::RhsMined(o)) => *o,
+                        Some(UnitResult::RhsMined(o, work)) => (*o, work),
                         _ => continue,
                     },
                 };
+                work += w;
                 merge_rhs_outcome(o, &mut deps, &mut covered, &mut negatives, &mut hstats);
             }
             finish_negatives(negatives, &mut deps);
@@ -1953,6 +1968,7 @@ impl Waves<'_> {
                 deps,
                 covered,
                 hstats,
+                work,
             });
         }
         self.pool.charge_master(m0.elapsed());
@@ -1964,13 +1980,14 @@ impl Waves<'_> {
                 continue;
             }
             let mut covered = job.covered.clone();
-            let (deps, hstats) = {
-                let mut eval = PoolEvaluator {
-                    pool: &mut self.pool,
-                    spec: Arc::clone(spec),
-                };
-                mine_dependencies_with(&mut eval, &catalogs[i], &mut covered, &self.cfg)
+            let mut eval = PoolEvaluator {
+                pool: &mut self.pool,
+                spec: Arc::clone(spec),
+                work: 0,
             };
+            let (deps, hstats) =
+                mine_dependencies_with(&mut eval, &catalogs[i], &mut covered, &self.cfg);
+            let work = eval.work();
             // The evaluator swallows wave errors (the trait cannot carry
             // them); surface the sticky failure before returning a partial
             // outcome.
@@ -1979,10 +1996,14 @@ impl Waves<'_> {
                 deps,
                 covered,
                 hstats,
+                work,
             });
         }
         // Every job is either small (phase 2) or large (phase 3).
-        Ok(outcomes.into_iter().flatten().collect())
+        Ok(Mined {
+            outcomes: outcomes.into_iter().flatten().collect(),
+            catalog_time,
+        })
     }
 }
 

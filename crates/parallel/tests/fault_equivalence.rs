@@ -5,9 +5,11 @@
 //! across worker counts {1, 2, 4} and both execution modes. The barrier
 //! (cluster) runtime gets the same treatment for its recoverable faults,
 //! plus a crash-propagation check (fragment state dies with its worker,
-//! so a cluster crash is a clean error, not silent corruption). A final
-//! group exercises wave-granular checkpointing: a run halted mid-level
-//! resumes from its snapshot to the same output as a cold run.
+//! so a cluster crash is a clean error, not silent corruption). Recovery
+//! never moves the work meters (`spawning_work`, `evaluation_work`): a
+//! retried or speculated unit counts once. A final group exercises
+//! wave-granular checkpointing: a run halted mid-level resumes from its
+//! snapshot to the same output and meters as a cold run.
 
 use std::sync::Arc;
 
@@ -122,6 +124,11 @@ fn fingerprint(result: &DiscoveryResult, g: &Graph) -> Vec<String> {
         .collect()
 }
 
+/// `spawning_work` and `evaluation_work`.
+fn meters(result: &DiscoveryResult) -> [u64; 2] {
+    [result.stats.spawning_work, result.stats.evaluation_work]
+}
+
 /// A scratch path under the system temp dir, unique per test thread.
 fn scratch(name: &str) -> std::path::PathBuf {
     std::env::temp_dir().join(format!(
@@ -138,7 +145,9 @@ proptest! {
     /// panics, 1 worker crash, 2 drops, 2 stragglers at seed-chosen
     /// coordinates) reproduces `SeqDis` exactly: rule sequence, spawn
     /// counters, verification counters, cover — for every worker count
-    /// and both execution modes.
+    /// and both execution modes. These row spaces fit one range, so the
+    /// fault-free steal run meters seq's work (`steal_equivalence`), and
+    /// recovery must not move it.
     #[test]
     fn seeded_faults_preserve_steal_output(p in kb_strategy(), seed in 0u64..u64::MAX) {
         let g = build_kb(&p);
@@ -161,6 +170,7 @@ proptest! {
                     seq.stats.patterns_verified
                 );
                 prop_assert_eq!(&cover_indices(&par.result.rules()), &seq_cover);
+                prop_assert_eq!(meters(&par.result), meters(&seq), "n={} mode={:?}", n, mode);
             }
         }
     }
@@ -183,7 +193,8 @@ proptest! {
     /// The barrier (cluster) runtime recovers from its recoverable fault
     /// classes — injected unit panics, drops, stragglers (crashes are
     /// fatal there: fragment state dies with the worker) — with output
-    /// identical to `SeqDis`.
+    /// identical to `SeqDis` and work meters identical to a fault-free
+    /// barrier run.
     #[test]
     fn seeded_faults_preserve_cluster_output(p in kb_strategy(), seed in 0u64..u64::MAX) {
         let g = build_kb(&p);
@@ -193,6 +204,7 @@ proptest! {
         for mode in [ExecMode::Simulated, ExecMode::Threads] {
             for n in [2usize, 4] {
                 let mut ccfg = ClusterConfig::new(n, mode);
+                let clean = par_dis(&g, &cfg, &ccfg).expect("fault-free");
                 ccfg.fault = FaultConfig::with_seed(seed).crashes(0);
                 let par = par_dis(&g, &cfg, &ccfg).expect("recovery must succeed");
                 prop_assert_eq!(
@@ -200,6 +212,7 @@ proptest! {
                     want.clone(),
                     "n={} mode={:?} seed={} kb={:?}", n, mode, seed, p
                 );
+                prop_assert_eq!(meters(&par.result), meters(&clean.result));
             }
         }
     }
@@ -226,6 +239,7 @@ fn explicit_chaos_plan_matches_seq_dis() {
         let scfg = StealConfig::new(4, mode).with_faults(fault.clone());
         let par = par_dis_steal(&g, &cfg, &scfg).expect("recovery must succeed");
         assert_eq!(fingerprint(&par.result, &g), want, "mode={mode:?}");
+        assert_eq!(meters(&par.result), meters(&seq), "mode={mode:?}");
         let st = &par.result.stats;
         assert!(st.retries >= 3, "expected >=3 retries, got {}", st.retries);
         assert!(st.recovered_waves >= 1, "no wave recorded as recovered");
@@ -254,7 +268,8 @@ fn cluster_crash_surfaces_worker_lost() {
 /// Checkpoint/resume round trip: a run halted after level 1 leaves a
 /// snapshot from which a resumed run reproduces the cold run's rules and
 /// counters exactly — in both execution modes, and even when the resumed
-/// half runs under its own fault plan.
+/// half runs under its own fault plan. A resume at the halted run's
+/// worker count also reproduces the cold run's work meters.
 #[test]
 fn checkpoint_resume_reproduces_cold_run() {
     let g = fixed_kb();
@@ -263,35 +278,48 @@ fn checkpoint_resume_reproduces_cold_run() {
     let want = fingerprint(&seq, &g);
     for mode in [ExecMode::Simulated, ExecMode::Threads] {
         let ck = scratch(&format!("resume-{mode:?}"));
-        std::fs::remove_file(&ck).ok();
+        let halt = || {
+            std::fs::remove_file(&ck).ok();
+            let mut scfg = StealConfig::new(3, mode);
+            scfg.checkpoint = Some(ck.clone());
+            scfg.halt_after_level = Some(1);
+            match par_dis_steal(&g, &cfg, &scfg) {
+                Err(FaultError::Halted { level: 1 }) => {}
+                other => panic!("expected halt after level 1, got {other:?}"),
+            }
+            assert!(ck.exists(), "no checkpoint written before the halt");
+        };
+        let resume = |mut scfg: StealConfig| {
+            scfg.checkpoint = Some(ck.clone());
+            scfg.resume = true;
+            let par = par_dis_steal(&g, &cfg, &scfg).expect("resume must succeed");
+            assert_eq!(fingerprint(&par.result, &g), want, "mode={mode:?}");
+            assert_eq!(&par.result.stats.hspawn, &seq.stats.hspawn);
+            assert_eq!(
+                par.result.stats.patterns_verified,
+                seq.stats.patterns_verified
+            );
+            par
+        };
 
-        // Kill the run after its level-1 checkpoint.
-        let mut scfg = StealConfig::new(3, mode);
-        scfg.checkpoint = Some(ck.clone());
-        scfg.halt_after_level = Some(1);
-        match par_dis_steal(&g, &cfg, &scfg) {
-            Err(FaultError::Halted { level: 1 }) => {}
-            other => panic!("expected halt after level 1, got {other:?}"),
-        }
-        assert!(ck.exists(), "no checkpoint written before the halt");
+        // Kill the run after its level-1 checkpoint; resume at its own
+        // worker count: the meters restored from the snapshot plus the
+        // rest of the run add up to the cold run's.
+        halt();
+        let cold = par_dis_steal(&g, &cfg, &StealConfig::new(3, mode)).expect("fault-free");
+        let par = resume(StealConfig::new(3, mode));
+        assert_eq!(meters(&par.result), meters(&cold.result), "mode={mode:?}");
 
         // Resume — under chaos, with a different worker count.
-        let mut scfg = StealConfig::new(4, mode).with_faults(FaultConfig::with_seed(7));
-        scfg.checkpoint = Some(ck.clone());
-        scfg.resume = true;
-        let par = par_dis_steal(&g, &cfg, &scfg).expect("resume must succeed");
-        assert_eq!(fingerprint(&par.result, &g), want, "mode={mode:?}");
-        assert_eq!(&par.result.stats.hspawn, &seq.stats.hspawn);
-        assert_eq!(
-            par.result.stats.patterns_verified,
-            seq.stats.patterns_verified
-        );
+        halt();
+        resume(StealConfig::new(4, mode).with_faults(FaultConfig::with_seed(7)));
         std::fs::remove_file(&ck).ok();
     }
 }
 
-/// A checkpoint from a different graph or configuration is rejected, not
-/// silently replayed into a wrong answer.
+/// A checkpoint from a different graph or configuration, or in the
+/// version-1 format that carried no work meters, is rejected, not silently
+/// replayed into a wrong answer.
 #[test]
 fn stale_checkpoint_is_rejected() {
     let g = fixed_kb();
@@ -315,6 +343,17 @@ fn stale_checkpoint_is_rejected() {
     match par_dis_steal(&g, &other, &scfg) {
         Err(FaultError::Checkpoint(msg)) => {
             assert!(msg.contains("config"), "unexpected message: {msg}")
+        }
+        other => panic!("expected checkpoint rejection, got {other:?}"),
+    }
+
+    // The same snapshot relabelled as version 1, under its own config.
+    let v2 = std::fs::read_to_string(&ck).expect("checkpoint written");
+    let v1 = v2.replacen("gfd-checkpoint 2", "gfd-checkpoint 1", 1);
+    std::fs::write(&ck, v1).expect("rewrite checkpoint");
+    match par_dis_steal(&g, &cfg, &scfg) {
+        Err(FaultError::Checkpoint(msg)) => {
+            assert!(msg.contains("version 1"), "unexpected message: {msg}")
         }
         other => panic!("expected checkpoint rejection, got {other:?}"),
     }

@@ -71,6 +71,11 @@ fn mining_cfg() -> DiscoveryConfig {
     c
 }
 
+/// `spawning_work` and `evaluation_work`.
+fn meters(result: &DiscoveryResult) -> [u64; 2] {
+    [result.stats.spawning_work, result.stats.evaluation_work]
+}
+
 /// Order-sensitive fingerprint of everything a `DiscoveredGfd` carries.
 fn fingerprint(result: &DiscoveryResult, g: &Graph) -> Vec<String> {
     result
@@ -118,8 +123,8 @@ fn fixed_kb() -> Arc<Graph> {
 }
 
 /// Every adversarial seed, worker count, and mode reproduces `SeqDis` —
-/// rules, counters, cover, and the modelled `work_makespan` of the
-/// unperturbed schedule — on the fixed graph.
+/// rules, counters, cover, and the modelled `work_makespan` and work
+/// meters of the unperturbed schedule — on the fixed graph.
 #[test]
 fn adversarial_schedules_reproduce_seq_dis_on_fixed_kb() {
     let g = fixed_kb();
@@ -154,30 +159,36 @@ fn adversarial_schedules_reproduce_seq_dis_on_fixed_kb() {
                 );
                 assert_eq!(par.work_busy, baseline.work_busy);
                 assert_eq!(par.barriers, baseline.barriers);
+                assert_eq!(meters(&par.result), meters(&baseline.result));
             }
         }
     }
 }
 
 /// The forced `(rule, pivot-range)` evaluator path under perturbation:
-/// shard-cache churn and biased stealing of range units stay invisible.
+/// shard-cache churn and biased stealing of range units stay invisible,
+/// in the rules and in the work meters.
 #[test]
 fn adversarial_range_unit_path_reproduces_seq_dis() {
     let g = fixed_kb();
     let cfg = mining_cfg();
     let seq = seq_dis(&g, &cfg);
     let want = fingerprint(&seq, &g);
+    let range_path = |mut scfg: StealConfig| {
+        scfg.range_rows_threshold = 0;
+        scfg.range_min_rows = 1;
+        par_dis_steal(&g, &cfg, &scfg).expect("fault-free")
+    };
     for mode in [ExecMode::Simulated, ExecMode::Threads] {
+        let baseline = range_path(StealConfig::new(4, mode));
         for seed in [3u64, 99] {
-            let mut scfg = StealConfig::new(4, mode).with_perturbation(seed);
-            scfg.range_rows_threshold = 0;
-            scfg.range_min_rows = 1;
-            let par = par_dis_steal(&g, &cfg, &scfg).expect("fault-free");
+            let par = range_path(StealConfig::new(4, mode).with_perturbation(seed));
             assert_eq!(
                 fingerprint(&par.result, &g),
                 want,
                 "mode={mode:?} seed={seed}"
             );
+            assert_eq!(meters(&par.result), meters(&baseline.result));
         }
     }
 }
@@ -223,5 +234,6 @@ proptest! {
         prop_assert_eq!(a.work_makespan, base.work_makespan);
         prop_assert_eq!(a.work_busy, base.work_busy);
         prop_assert_eq!(a.barriers, base.barriers);
+        prop_assert_eq!(meters(&a.result), meters(&base.result));
     }
 }

@@ -4,8 +4,11 @@
 //! support, level, confidence, *order*), the run counters, and therefore
 //! the same cover — across worker counts {1, 2, 4}, both execution modes,
 //! and both steal lattice paths (per-consequence `MineRhs` units and the
-//! `(rule, pivot-range)` evaluator). A determinism property pins two
-//! threaded runs on the same seed to identical reports.
+//! `(rule, pivot-range)` evaluator). Every runtime meters its harvests
+//! and evaluations into `spawning_work` and `evaluation_work`: non-zero
+//! wherever seq's are, and the same in both execution modes. A
+//! determinism property pins two threaded runs on the same seed to
+//! identical reports.
 
 use std::sync::Arc;
 
@@ -98,12 +101,20 @@ fn pattern_counters(result: &DiscoveryResult) -> [usize; 5] {
     ]
 }
 
+/// `spawning_work` and `evaluation_work`.
+fn meters(result: &DiscoveryResult) -> [u64; 2] {
+    [result.stats.spawning_work, result.stats.evaluation_work]
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// Rule sequence + counters + cover identical to `SeqDis` on both
     /// parallel runtimes, across worker counts and both execution modes
-    /// (`MineRhs`-unit lattice path on steal).
+    /// (`MineRhs`-unit lattice path on steal). The work meters are
+    /// non-zero wherever seq's are and equal across modes; these row
+    /// spaces fit one range, so steal mines every pattern whole on one
+    /// shard and meters exactly seq's values.
     #[test]
     fn steal_matches_seq_dis(p in kb_strategy()) {
         let g = build_kb(&p);
@@ -111,7 +122,10 @@ proptest! {
         let seq = seq_dis(&g, &cfg);
         let want = fingerprint(&seq, &g);
         let seq_cover = cover_indices(&seq.rules());
+        let seq_meters = meters(&seq);
+        let mut simulated = Vec::new();
         for mode in [ExecMode::Simulated, ExecMode::Threads] {
+            let mut same_n = 0;
             for n in [1usize, 2, 4] {
                 let steal = par_dis_steal(&g, &cfg, &StealConfig::new(n, mode)).expect("fault-free");
                 let barrier = par_dis(&g, &cfg, &ClusterConfig::new(n, mode)).expect("fault-free");
@@ -126,30 +140,59 @@ proptest! {
                     // Identical rule sequences imply identical covers;
                     // check the cover computation agrees end to end anyway.
                     prop_assert_eq!(&cover_indices(&par.result.rules()), &seq_cover);
+                    let got = meters(&par.result);
+                    for (have, seq_has) in got.into_iter().zip(seq_meters) {
+                        prop_assert!(have > 0 || seq_has == 0, "{} n={} {:?}", runtime, n, got);
+                    }
+                    if mode == ExecMode::Simulated {
+                        simulated.push(got);
+                    } else {
+                        prop_assert_eq!(got, simulated[same_n], "{} n={}", runtime, n);
+                        same_n += 1;
+                    }
                 }
+                prop_assert_eq!(meters(&steal.result), seq_meters, "n={} mode={:?}", n, mode);
             }
         }
     }
 
     /// The `(rule, pivot-range)` evaluator path (forced via threshold 0 and
-    /// tiny ranges) is just as exact.
+    /// tiny ranges) is just as exact, and meters the same work in both
+    /// modes: non-zero wherever seq's is. Cut into one range per worker on
+    /// one worker, it evaluates every candidate over the whole table, as
+    /// the barrier runtime's single fragment does, so the two runtimes'
+    /// meters agree.
     #[test]
     fn range_unit_path_matches_seq_dis(p in kb_strategy()) {
         let g = build_kb(&p);
         let cfg = mining_cfg();
         let seq = seq_dis(&g, &cfg);
         let want = fingerprint(&seq, &g);
+        let mut by_mode = Vec::new();
         for mode in [ExecMode::Simulated, ExecMode::Threads] {
-            let mut scfg = StealConfig::new(2, mode);
-            scfg.range_rows_threshold = 0;
-            scfg.range_min_rows = 1;
-            let par = par_dis_steal(&g, &cfg, &scfg).expect("fault-free");
-            prop_assert_eq!(
-                fingerprint(&par.result, &g),
-                want.clone(),
-                "mode={:?} kb={:?}", mode, p
-            );
+            for n in [2, 1] {
+                let mut scfg = StealConfig::new(n, mode);
+                scfg.range_rows_threshold = 0;
+                scfg.range_min_rows = 1;
+                if n == 1 {
+                    scfg.range_oversplit = 1;
+                }
+                let par = par_dis_steal(&g, &cfg, &scfg).expect("fault-free");
+                prop_assert_eq!(
+                    fingerprint(&par.result, &g),
+                    want.clone(),
+                    "n={} mode={:?} kb={:?}", n, mode, p
+                );
+                by_mode.push(meters(&par.result));
+            }
         }
+        prop_assert_eq!(&by_mode[..2], &by_mode[2..]);
+        for (have, seq_has) in by_mode[0].into_iter().zip(meters(&seq)) {
+            prop_assert!(have > 0 || seq_has == 0, "{:?}", by_mode[0]);
+        }
+        let whole = par_dis(&g, &cfg, &ClusterConfig::new(1, ExecMode::Simulated))
+            .expect("fault-free");
+        prop_assert_eq!(by_mode[1], meters(&whole.result));
     }
 
     /// Two threaded steal runs on the same input are bit-identical:
