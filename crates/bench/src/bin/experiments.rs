@@ -466,13 +466,20 @@ fn run(name: &str, scale: Scale) {
         // CI smoke: the violation monitor on the tiny catalog that
         // `perf --validate` mines (min_confidence 0.5, so it has real
         // violators). Seeded corruption batches and their undo batches,
-        // then three topology batches; after every batch each rule's
-        // maintained violations must equal a fresh monitor's.
+        // then three topology batches. After every batch each rule's
+        // maintained violations must equal an independent per-rule oracle
+        // (the rule's own pivot plan over the whole graph plus
+        // `match_satisfies`, none of the monitor's grouping), and an
+        // entity read at every node the batch touched must return exactly
+        // the oracle's violations pivoted there.
         "monitor-smoke" => {
+            use std::ops::ControlFlow;
+
             use gfd_core::seq_dis;
             use gfd_datagen::Scenario;
-            use gfd_graph::{NodeId, Value};
-            use gfd_incremental::{MonitorRule, UpdateBatch, ViolationMonitor};
+            use gfd_graph::{Graph, NodeId, Value};
+            use gfd_incremental::{MonitorRule, Update, UpdateBatch, ViolationMonitor};
+            use gfd_pattern::CompiledPattern;
             use rand::{rngs::StdRng, RngExt, SeedableRng};
 
             let sc = Scenario::named("tiny").expect("tiny scenario");
@@ -485,7 +492,66 @@ fn run(name: &str, scale: Scale) {
                 .map(|d| MonitorRule::Base(d.gfd))
                 .collect();
             assert!(!rules.is_empty(), "monitor smoke mined no rules");
+            let plans: Vec<CompiledPattern> = rules
+                .iter()
+                .map(|r| CompiledPattern::new(r.pattern()))
+                .collect();
+            // Per rule, its violations on `g` in match order.
+            let oracle = |g: &Graph| -> Vec<Vec<Vec<NodeId>>> {
+                rules
+                    .iter()
+                    .zip(&plans)
+                    .map(|(rule, plan)| {
+                        let mut found = Vec::new();
+                        let _ = plan.matcher(g).for_each(|m| {
+                            if !rule.match_satisfies(m, g) {
+                                found.push(m.to_vec());
+                            }
+                            ControlFlow::Continue(())
+                        });
+                        found.sort_unstable();
+                        found
+                    })
+                    .collect()
+            };
+            let check = |mon: &mut ViolationMonitor, touched: &[NodeId], what: &str| {
+                let want = oracle(mon.graph());
+                for (i, want) in want.iter().enumerate() {
+                    let mut got: Vec<Vec<NodeId>> =
+                        mon.violations(i).map(<[NodeId]>::to_vec).collect();
+                    got.sort_unstable();
+                    assert!(
+                        got == *want,
+                        "{what}: rule {i}'s violations differ from the per-rule oracle's"
+                    );
+                }
+                for &v in touched {
+                    let mut got: Vec<(usize, Vec<Vec<NodeId>>)> = mon
+                        .validate_entity(v)
+                        .into_iter()
+                        .map(|e| (e.rule, e.violations))
+                        .collect();
+                    for (_, found) in &mut got {
+                        found.sort_unstable();
+                    }
+                    let at: Vec<(usize, Vec<Vec<NodeId>>)> = want
+                        .iter()
+                        .enumerate()
+                        .map(|(i, found)| {
+                            let pivot = rules[i].pattern().pivot();
+                            let at = found.iter().filter(|m| m[pivot] == v).cloned().collect();
+                            (i, at)
+                        })
+                        .filter(|(_, at): &(usize, Vec<Vec<NodeId>>)| !at.is_empty())
+                        .collect();
+                    assert!(
+                        got == at,
+                        "{what}: the read at {v:?} differs from the per-rule oracle's"
+                    );
+                }
+            };
             let mut mon = ViolationMonitor::new(&g, rules.clone());
+            check(&mut mon, &[], "initial");
             let initial = mon.total_violations();
             assert!(initial > 0, "the monitor smoke catalog has no violators");
             println!(
@@ -494,24 +560,39 @@ fn run(name: &str, scale: Scale) {
                 g.edge_count(),
                 rules.len(),
             );
-            let apply = |mon: &mut ViolationMonitor, batch: &UpdateBatch, what: &str| {
+            // Applies and checks one batch; returns the probes it ran.
+            let apply = |mon: &mut ViolationMonitor, batch: &UpdateBatch, what: &str| -> u64 {
                 let before = mon.stats().bound_queries;
+                let nodes = mon.graph().node_count();
                 let delta = mon.apply(batch);
-                let fresh = ViolationMonitor::new(mon.graph(), rules.clone());
-                for i in 0..rules.len() {
-                    assert!(
-                        mon.violations(i).eq(fresh.violations(i)),
-                        "{what}: rule {i}'s violations differ from a fresh monitor's"
-                    );
+                let probes = mon.stats().bound_queries - before;
+                let mut touched: Vec<NodeId> = (nodes..mon.graph().node_count())
+                    .map(NodeId::from_index)
+                    .collect();
+                for u in batch.ops() {
+                    match *u {
+                        Update::AddNode { .. } => {}
+                        Update::AddEdge { src, dst, .. } | Update::RemoveEdge { src, dst, .. } => {
+                            touched.extend([src, dst])
+                        }
+                        Update::SetAttr { node, .. } | Update::RemoveAttr { node, .. } => {
+                            touched.push(node)
+                        }
+                    }
                 }
+                touched.sort_unstable();
+                touched.dedup();
+                check(mon, &touched, what);
                 println!(
                     "monitor-smoke {what}: +{} -{} affected_pivots={} bound_queries={}",
                     delta.added(),
                     delta.removed(),
                     delta.affected_pivots,
-                    mon.stats().bound_queries - before,
+                    probes,
                 );
+                probes
             };
+            let mut probes = 0;
 
             // Four corruptions per batch on distinct attributed nodes, each
             // undone by the next batch.
@@ -532,8 +613,8 @@ fn run(name: &str, scale: Scale) {
                     corrupt.set_attr(v, attr, junk);
                     undo.set_attr(v, attr, old);
                 }
-                apply(&mut mon, &corrupt, &format!("corrupt {round}"));
-                apply(&mut mon, &undo, &format!("undo {round}"));
+                probes += apply(&mut mon, &corrupt, &format!("corrupt {round}"));
+                probes += apply(&mut mon, &undo, &format!("undo {round}"));
                 assert_eq!(mon.total_violations(), initial, "undo {round}");
             }
 
@@ -563,19 +644,18 @@ fn run(name: &str, scale: Scale) {
             let (s, d) = oriented(hub, peer);
             let mut add = UpdateBatch::new();
             add.add_edge(s, d, e.label);
-            apply(&mut mon, &add, "add edge");
+            probes += apply(&mut mon, &add, "add edge");
             let mut remove = UpdateBatch::new();
             remove.remove_edge(s, d, e.label);
-            apply(&mut mon, &remove, "remove edge");
+            probes += apply(&mut mon, &remove, "remove edge");
             assert_eq!(mon.total_violations(), initial, "remove edge");
             let mut grow = UpdateBatch::new();
             let fresh = grow.add_node(mon.graph().node_count(), g.node_label(hub));
             let (s, d) = oriented(fresh, other);
             grow.add_edge(s, d, e.label);
-            apply(&mut mon, &grow, "add node");
+            probes += apply(&mut mon, &grow, "add node");
             println!(
-                "monitor-smoke: every batch equals a fresh monitor; bound_queries={}",
-                mon.stats().bound_queries
+                "monitor-smoke: every batch and read equals the per-rule oracle; bound_queries={probes}"
             );
         }
         other => {

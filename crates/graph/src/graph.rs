@@ -9,8 +9,9 @@
 //! graphs.
 //!
 //! Graphs are built with [`GraphBuilder`] and then frozen into a [`Graph`]
-//! whose topology is immutable; attribute values can still be edited in
-//! place. The frozen layout is **structure-of-arrays CSR** throughout:
+//! whose topology is immutable and shared: clones of a graph hold one
+//! topology allocation, and each clone's attribute values can still be
+//! edited in place. The frozen layout is **structure-of-arrays CSR** throughout:
 //! every index is one offsets array plus packed flat payload arrays (edge
 //! ids, neighbour ids, attribute tuples, per-label node lists) — no
 //! per-node `Vec`s anywhere, so a million-node graph is a handful of large
@@ -476,16 +477,18 @@ impl GraphBuilder {
 
         let mut g = Graph {
             interner,
-            labels,
+            topo: Arc::new(Topology {
+                labels,
+                edges,
+                out,
+                inn,
+                out_labeled,
+                in_labeled,
+                label_node_offsets,
+                label_nodes,
+            }),
             attr_offsets,
             attr_entries,
-            edges,
-            out,
-            inn,
-            out_labeled,
-            in_labeled,
-            label_node_offsets,
-            label_nodes,
             build_stats: GraphBuildStats {
                 builder_reallocs: reallocs,
                 attr_writes,
@@ -497,21 +500,13 @@ impl GraphBuilder {
     }
 }
 
-/// A property graph in structure-of-arrays CSR layout: flat offsets +
-/// packed payload arrays for adjacency (plain and label-partitioned, both
-/// directions), attribute tuples, and the per-label node index.
-///
-/// Topology (nodes, labels, edges and every index over them) is frozen at
-/// build time. Attribute values can be edited in place with
-/// [`Graph::set_attr_by_id`] and [`Graph::remove_attr_by_id`], which keep
-/// each node's tuple sorted by attribute id and never touch the topology
-/// arrays.
-#[derive(Clone, Debug)]
-pub struct Graph {
-    interner: Arc<Interner>,
+/// The frozen topology of a [`Graph`]: node labels, the edge list, both
+/// plain CSRs, both label-partitioned CSRs and the per-label node index.
+/// Nothing edits it after the freeze, so every clone of a graph shares
+/// one.
+#[derive(Debug)]
+struct Topology {
     labels: Vec<LabelId>,
-    attr_offsets: Vec<u32>,
-    attr_entries: Vec<(AttrId, Value)>,
     edges: Vec<Edge>,
     out: Csr,
     inn: Csr,
@@ -519,6 +514,24 @@ pub struct Graph {
     in_labeled: LabelCsr,
     label_node_offsets: Vec<u32>,
     label_nodes: Vec<NodeId>,
+}
+
+/// A property graph in structure-of-arrays CSR layout: flat offsets +
+/// packed payload arrays for adjacency (plain and label-partitioned, both
+/// directions), attribute tuples, and the per-label node index.
+///
+/// Topology (nodes, labels, edges and every index over them) is frozen at
+/// build time and held behind one `Arc`, so [`Clone`] shares it and
+/// copies only the attribute arrays. Attribute values can be edited in
+/// place with [`Graph::set_attr_by_id`] and [`Graph::remove_attr_by_id`],
+/// which keep each node's tuple sorted by attribute id and touch only this
+/// graph's attribute arrays, never the shared topology.
+#[derive(Clone, Debug)]
+pub struct Graph {
+    interner: Arc<Interner>,
+    topo: Arc<Topology>,
+    attr_offsets: Vec<u32>,
+    attr_entries: Vec<(AttrId, Value)>,
     build_stats: GraphBuildStats,
 }
 
@@ -530,12 +543,12 @@ impl Graph {
 
     /// Number of nodes `|V|`.
     pub fn node_count(&self) -> usize {
-        self.labels.len()
+        self.topo.labels.len()
     }
 
     /// Number of edges `|E|`.
     pub fn edge_count(&self) -> usize {
-        self.edges.len()
+        self.topo.edges.len()
     }
 
     /// `|V| + |E|`, the paper's `|G|`.
@@ -545,24 +558,24 @@ impl Graph {
 
     /// Iterator over all node ids.
     pub fn nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
-        (0..self.labels.len()).map(NodeId::from_index)
+        (0..self.topo.labels.len()).map(NodeId::from_index)
     }
 
     /// All edges, in insertion order.
     pub fn edges(&self) -> &[Edge] {
-        &self.edges
+        &self.topo.edges
     }
 
     /// The label `L(v)` of a node.
     #[inline]
     pub fn node_label(&self, n: NodeId) -> LabelId {
-        self.labels[n.index()]
+        self.topo.labels[n.index()]
     }
 
     /// The edge record behind an id.
     #[inline]
     pub fn edge(&self, e: EdgeId) -> Edge {
-        self.edges[e.index()]
+        self.topo.edges[e.index()]
     }
 
     /// The attribute tuple `F_A(v)`, sorted by attribute id — one slice of
@@ -628,52 +641,52 @@ impl Graph {
     /// Outgoing edge ids of `n`, sorted by `(dst, label)`.
     #[inline]
     pub fn out_edges(&self, n: NodeId) -> &[EdgeId] {
-        self.out.slice(n)
+        self.topo.out.slice(n)
     }
 
     /// Incoming edge ids of `n`, sorted by `(src, label)`.
     #[inline]
     pub fn in_edges(&self, n: NodeId) -> &[EdgeId] {
-        self.inn.slice(n)
+        self.topo.inn.slice(n)
     }
 
     /// Destinations of `n`'s outgoing edges, parallel to
     /// [`Graph::out_edges`] (sorted, so repeated neighbours are adjacent).
     #[inline]
     pub fn out_nbrs(&self, n: NodeId) -> &[NodeId] {
-        self.out.nbr_slice(n)
+        self.topo.out.nbr_slice(n)
     }
 
     /// Sources of `n`'s incoming edges, parallel to [`Graph::in_edges`].
     #[inline]
     pub fn in_nbrs(&self, n: NodeId) -> &[NodeId] {
-        self.inn.nbr_slice(n)
+        self.topo.inn.nbr_slice(n)
     }
 
     /// Out-degree of `n`.
     #[inline]
     pub fn out_degree(&self, n: NodeId) -> usize {
-        self.out.slice(n).len()
+        self.topo.out.slice(n).len()
     }
 
     /// In-degree of `n`.
     #[inline]
     pub fn in_degree(&self, n: NodeId) -> usize {
-        self.inn.slice(n).len()
+        self.topo.inn.slice(n).len()
     }
 
     /// Outgoing edges of `n` carrying exactly label `l`, as one contiguous
     /// slice sorted by `(dst, edge id)` — the label-partitioned adjacency.
     #[inline]
     pub fn out_edges_labeled(&self, n: NodeId, l: LabelId) -> &[EdgeId] {
-        self.out_labeled.slice(n, l)
+        self.topo.out_labeled.slice(n, l)
     }
 
     /// Incoming edges of `n` carrying exactly label `l`, sorted by
     /// `(src, edge id)`.
     #[inline]
     pub fn in_edges_labeled(&self, n: NodeId, l: LabelId) -> &[EdgeId] {
-        self.in_labeled.slice(n, l)
+        self.topo.in_labeled.slice(n, l)
     }
 
     /// Destinations of `n`'s outgoing `l`-labelled edges, parallel to
@@ -681,41 +694,41 @@ impl Graph {
     /// anchor steps (sorted ascending, parallel edges adjacent).
     #[inline]
     pub fn out_nbrs_labeled(&self, n: NodeId, l: LabelId) -> &[NodeId] {
-        self.out_labeled.nbr_slice(n, l)
+        self.topo.out_labeled.nbr_slice(n, l)
     }
 
     /// Sources of `n`'s incoming `l`-labelled edges, parallel to
     /// [`Graph::in_edges_labeled`].
     #[inline]
     pub fn in_nbrs_labeled(&self, n: NodeId, l: LabelId) -> &[NodeId] {
-        self.in_labeled.nbr_slice(n, l)
+        self.topo.in_labeled.nbr_slice(n, l)
     }
 
     /// Both parallel slices of `n`'s outgoing `l`-labelled adjacency at
     /// once: `(edge ids, destinations)`.
     #[inline]
     pub fn out_adj_labeled(&self, n: NodeId, l: LabelId) -> (&[EdgeId], &[NodeId]) {
-        self.out_labeled.pair_slices(n, l)
+        self.topo.out_labeled.pair_slices(n, l)
     }
 
     /// Both parallel slices of `n`'s incoming `l`-labelled adjacency at
     /// once: `(edge ids, sources)`.
     #[inline]
     pub fn in_adj_labeled(&self, n: NodeId, l: LabelId) -> (&[EdgeId], &[NodeId]) {
-        self.in_labeled.pair_slices(n, l)
+        self.topo.in_labeled.pair_slices(n, l)
     }
 
     /// Number of outgoing edges of `n` labelled `l` — the out-side
     /// neighbour-label-frequency (NLF) summary used for candidate pruning.
     #[inline]
     pub fn out_label_degree(&self, n: NodeId, l: LabelId) -> usize {
-        self.out_labeled.degree(n, l)
+        self.topo.out_labeled.degree(n, l)
     }
 
     /// Number of incoming edges of `n` labelled `l` (in-side NLF).
     #[inline]
     pub fn in_label_degree(&self, n: NodeId, l: LabelId) -> usize {
-        self.in_labeled.degree(n, l)
+        self.topo.in_labeled.degree(n, l)
     }
 
     /// Iterates the label-partitioned out-adjacency of `n` as one
@@ -730,7 +743,7 @@ impl Graph {
         &self,
         n: NodeId,
     ) -> impl Iterator<Item = (LabelId, &[EdgeId], &[NodeId])> + '_ {
-        self.out_labeled.runs(n)
+        self.topo.out_labeled.runs(n)
     }
 
     /// Iterates the label-partitioned in-adjacency of `n` as
@@ -740,7 +753,7 @@ impl Graph {
         &self,
         n: NodeId,
     ) -> impl Iterator<Item = (LabelId, &[EdgeId], &[NodeId])> + '_ {
-        self.in_labeled.runs(n)
+        self.topo.in_labeled.runs(n)
     }
 
     /// Total degree of `n` (the `d` parameter of Theorem 1(b)).
@@ -758,13 +771,14 @@ impl Graph {
     /// per-label node array (empty for labels absent from the graph —
     /// including labels interned after the freeze, e.g. by patterns).
     pub fn nodes_with_label(&self, l: LabelId) -> &[NodeId] {
+        let t = &*self.topo;
         let i = l.index();
-        if i + 1 >= self.label_node_offsets.len() {
+        if i + 1 >= t.label_node_offsets.len() {
             return &[];
         }
-        let lo = self.label_node_offsets[i] as usize;
-        let hi = self.label_node_offsets[i + 1] as usize;
-        &self.label_nodes[lo..hi]
+        let lo = t.label_node_offsets[i] as usize;
+        let hi = t.label_node_offsets[i + 1] as usize;
+        &t.label_nodes[lo..hi]
     }
 
     /// Edge ids from `src` to `dst` (any label), via binary search over the
@@ -777,17 +791,19 @@ impl Graph {
     /// labels (sorted ascending — the slice is a label-sorted run, so
     /// per-label grouping is a linear walk with no edge-table lookups).
     pub fn edges_between_labeled(&self, src: NodeId, dst: NodeId) -> (&[EdgeId], &[LabelId]) {
-        let (lo_bound, hi_bound) = self.out.bounds(src);
-        let nbrs = &self.out.nbrs[lo_bound..hi_bound];
+        let out = &self.topo.out;
+        let (lo_bound, hi_bound) = out.bounds(src);
+        let nbrs = &out.nbrs[lo_bound..hi_bound];
         let lo = lo_bound + nbrs.partition_point(|&d| d < dst);
         let hi = lo_bound + nbrs.partition_point(|&d| d <= dst);
-        (&self.out.list[lo..hi], &self.out.labels[lo..hi])
+        (&out.list[lo..hi], &out.labels[lo..hi])
     }
 
     /// Whether an edge `src → dst` with exactly label `label` exists
     /// (binary search in the label-partitioned neighbour slice).
     pub fn has_edge(&self, src: NodeId, dst: NodeId, label: LabelId) -> bool {
-        self.out_labeled
+        self.topo
+            .out_labeled
             .nbr_slice(src, label)
             .binary_search(&dst)
             .is_ok()
@@ -795,7 +811,7 @@ impl Graph {
 
     /// Whether any edge `src → dst` exists.
     pub fn has_any_edge(&self, src: NodeId, dst: NodeId) -> bool {
-        self.out.nbr_slice(src).binary_search(&dst).is_ok()
+        self.topo.out.nbr_slice(src).binary_search(&dst).is_ok()
     }
 
     /// The shared string interner.
@@ -825,16 +841,17 @@ impl Graph {
                 + slice_bytes(&c.range_offsets)
                 + slice_bytes(&c.ranges)
         };
-        slice_bytes(&self.labels)
+        let t = &*self.topo;
+        slice_bytes(&t.labels)
             + slice_bytes(&self.attr_offsets)
             + slice_bytes(&self.attr_entries)
-            + slice_bytes(&self.edges)
-            + csr(&self.out)
-            + csr(&self.inn)
-            + lcsr(&self.out_labeled)
-            + lcsr(&self.in_labeled)
-            + slice_bytes(&self.label_node_offsets)
-            + slice_bytes(&self.label_nodes)
+            + slice_bytes(&t.edges)
+            + csr(&t.out)
+            + csr(&t.inn)
+            + lcsr(&t.out_labeled)
+            + lcsr(&t.in_labeled)
+            + slice_bytes(&t.label_node_offsets)
+            + slice_bytes(&t.label_nodes)
     }
 
     /// Distinct values of attribute `a`, with occurrence counts, sorted by
@@ -855,6 +872,7 @@ impl Graph {
     /// descending count.
     pub fn node_label_frequencies(&self) -> Vec<(LabelId, u32)> {
         let mut out: Vec<(LabelId, u32)> = self
+            .topo
             .label_node_offsets
             .windows(2)
             .enumerate()

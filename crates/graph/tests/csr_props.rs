@@ -16,12 +16,15 @@
 //! 4. **In-place attribute edits** — any sequence of set/remove edits on a
 //!    frozen graph leaves the attributes a fresh build of the final
 //!    attributes has, keeps every tuple sorted, and moves no topology.
+//! 5. **Clones share topology** — a clone holds the original's topology
+//!    allocation, and attribute edits on the clone leave the original's
+//!    tuples as they were while the clone equals a fresh build.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use gfd_graph::io::{from_text, to_text, ChunkedParser};
-use gfd_graph::{Graph, GraphBuilder, NodeId, Value};
+use gfd_graph::{AttrId, Graph, GraphBuilder, NodeId, Value};
 use proptest::prelude::*;
 
 const NODE_LABELS: usize = 4;
@@ -90,6 +93,44 @@ fn build(p: &Proto) -> Graph {
     }
     for &(s, d, l) in &p.edges {
         b.add_edge(ids[s], ids[d], &format!("r{l}"));
+    }
+    b.build()
+}
+
+/// Applies `edits` to `g`, a graph built from `p`, and returns a fresh
+/// build of the final attributes: the builder's last-wins log, then the
+/// edits.
+fn apply_edits(g: &mut Graph, p: &Proto, edits: &[Edit]) -> Graph {
+    let interner = Arc::clone(g.interner());
+    let attr = |a: usize| interner.attr(&format!("a{a}"));
+    let mut model: BTreeMap<(usize, usize), usize> = BTreeMap::new();
+    for &(n, a, v) in &p.attrs {
+        model.insert((n, a), v);
+    }
+    let n = p.nodes.len();
+    for e in edits {
+        match *e {
+            Edit::Set(x, a, v) => {
+                let value = Value::Str(interner.symbol(&value_name(v)));
+                g.set_attr_by_id(NodeId::from_index(x % n), attr(a), value);
+                model.insert((x % n, a), v);
+            }
+            Edit::Remove(x, a) => {
+                g.remove_attr_by_id(NodeId::from_index(x % n), attr(a));
+                model.remove(&(x % n, a));
+            }
+        }
+    }
+    let mut b = GraphBuilder::with_interner(Arc::clone(&interner));
+    for &l in &p.nodes {
+        b.add_node(&format!("L{l}"));
+    }
+    for (&(x, a), &v) in &model {
+        b.set_attr(
+            NodeId::from_index(x),
+            &format!("a{a}"),
+            value_name(v).as_str(),
+        );
     }
     b.build()
 }
@@ -303,37 +344,10 @@ proptest! {
         edits in prop::collection::vec(edit_strategy(), 0..=24),
     ) {
         let before = build(&p);
-        let mut g = before.clone();
+        let mut g = build(&p);
+        let want = apply_edits(&mut g, &p, &edits);
         let interner = Arc::clone(g.interner());
         let attr = |a: usize| interner.attr(&format!("a{a}"));
-        // The final attributes: the builder's last-wins log, then the edits.
-        let mut model: BTreeMap<(usize, usize), usize> = BTreeMap::new();
-        for &(n, a, v) in &p.attrs {
-            model.insert((n, a), v);
-        }
-        let n = p.nodes.len();
-        for e in &edits {
-            match *e {
-                Edit::Set(x, a, v) => {
-                    let value = Value::Str(interner.symbol(&value_name(v)));
-                    g.set_attr_by_id(NodeId::from_index(x % n), attr(a), value);
-                    model.insert((x % n, a), v);
-                }
-                Edit::Remove(x, a) => {
-                    g.remove_attr_by_id(NodeId::from_index(x % n), attr(a));
-                    model.remove(&(x % n, a));
-                }
-            }
-        }
-
-        let mut b = GraphBuilder::with_interner(Arc::clone(&interner));
-        for &l in &p.nodes {
-            b.add_node(&format!("L{l}"));
-        }
-        for (&(x, a), &v) in &model {
-            b.set_attr(NodeId::from_index(x), &format!("a{a}"), value_name(v).as_str());
-        }
-        let want = b.build();
 
         prop_assert_eq!(g.edges(), before.edges());
         for v in g.nodes() {
@@ -358,6 +372,29 @@ proptest! {
             if let Some(lid) = interner.lookup_label(&format!("L{l}")) {
                 prop_assert_eq!(g.nodes_with_label(lid), before.nodes_with_label(lid));
             }
+        }
+    }
+
+    /// Law 5: a clone shares the original's topology allocation; edits on
+    /// the clone touch only the clone's attributes, which equal a fresh
+    /// build, and leave the original's tuples as they were.
+    #[test]
+    fn clones_share_topology_and_own_attributes(
+        p in proto_strategy(),
+        edits in prop::collection::vec(edit_strategy(), 0..=24),
+    ) {
+        let original = build(&p);
+        let tuples: Vec<Vec<(AttrId, Value)>> =
+            original.nodes().map(|v| original.attrs(v).to_vec()).collect();
+        let mut g = original.clone();
+        prop_assert_eq!(g.edges().as_ptr(), original.edges().as_ptr());
+        let want = apply_edits(&mut g, &p, &edits);
+        prop_assert_eq!(g.edges().as_ptr(), original.edges().as_ptr());
+        for v in original.nodes() {
+            prop_assert_eq!(original.attrs(v), tuples[v.index()].as_slice());
+            prop_assert_eq!(g.attrs(v), want.attrs(v));
+            prop_assert_eq!(g.out_nbrs(v).as_ptr(), original.out_nbrs(v).as_ptr());
+            prop_assert_eq!(g.in_nbrs(v).as_ptr(), original.in_nbrs(v).as_ptr());
         }
     }
 }

@@ -13,10 +13,13 @@
 //! * [`state`] — a mutable graph copy ([`GraphState`]) that applies a
 //!   batch and re-freezes into an indexed [`gfd_graph::Graph`], the path
 //!   for batches that change topology,
-//! * [`monitor`] — the [`ViolationMonitor`]: one owned graph patched in
-//!   place by attribute-only batches, stored violations keyed by pivot,
+//! * [`monitor`] — the [`ViolationMonitor`]: rules grouped by pivoted
+//!   pattern so that every enumeration runs once per pattern, one graph
+//!   that shares the caller's topology and is patched in place by
+//!   attribute-only batches, stored violations keyed by pivot,
 //!   per-variable plans seeded at the touched nodes (an attribute write
-//!   only at the variables whose literals read the attribute), per-batch
+//!   only at the variables whose literals read the attribute), one
+//!   matcher scratch for the monitor's life, per-batch
 //!   [`ViolationDelta`]s. Monitors base and extended GFDs together.
 
 #![warn(missing_docs)]

@@ -5,26 +5,38 @@
 //! change a verdict only for a match that contains a node the batch
 //! touches. The monitor re-checks exactly those matches:
 //!
-//! 1. each rule's pattern has one compiled plan per pattern variable
-//!    ([`CompiledPattern::compile_bound`]), shared by every rule on that
-//!    pattern; seeding the plan of `x` at a node `v` enumerates exactly
-//!    the matches with `h(x) = v`;
+//! 1. rules are grouped by their pivoted pattern. Each group compiles one
+//!    plan per pattern variable ([`CompiledPattern::compile_bound`]);
+//!    seeding the plan of `x` at a node `v` enumerates exactly the matches
+//!    with `h(x) = v`. Every enumeration runs once per group and checks
+//!    each member rule on each match it streams: the initial validation
+//!    streams a group's matches once, and an entity read probes each
+//!    group whose pivot label admits the entity once;
 //! 2. an attribute op on `(v, A)` can flip a match only if the match maps
 //!    `v` to a variable whose literals read `A`. A read-set index
-//!    `A → [(rule, x)]`, built with the plans, names those anchors, and
-//!    the op is patched into the monitor's [`Graph`] in place;
+//!    `A → [(group, x, rule)]`, built with the groups, names those
+//!    anchors, and the op is patched into the monitor's [`Graph`] in
+//!    place;
 //! 3. a batch that adds nodes or adds or removes edges rebuilds the graph
 //!    through [`GraphState`] and anchors every variable of every rule at
 //!    each touched node: on the graph before the batch to find the
 //!    matches it lost, and on the graph after it to find the matches it
 //!    gained or changed;
-//! 4. per rule, a re-checked match's old verdict is its membership in the
-//!    stored violation set and its new verdict is `match_satisfies` on the
-//!    new graph; a match the new graph no longer has is gone.
+//! 4. a batch runs each `(pattern, variable, node)` probe once and
+//!    re-checks its matches only against the rules whose anchors named
+//!    it. Per rule, a re-checked match's old verdict is its membership in
+//!    the stored violation set and its new verdict is `match_satisfies` on
+//!    the new graph; a match the new graph no longer has is gone.
 //!
 //! Every other match keeps its stored verdict, so a write costs the
 //! matches through its touched nodes. The same path serves every batch
-//! kind.
+//! kind. No match set outlives its probe.
+//!
+//! The monitor's graph is a clone of the caller's, which shares the
+//! caller's topology and copies only the attribute arrays, until a
+//! topology batch rebuilds it. One [`MatcherScratch`] and one row buffer
+//! serve every probe for the monitor's whole life, so no query or batch
+//! allocates a mark array as long as `|V|`.
 //!
 //! The monitor accepts base GFDs and extended GFDs (`gfd-extended`) in
 //! one rule set, and reports per-batch deltas (violations introduced and
@@ -33,13 +45,11 @@
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, BTreeSet};
 use std::ops::ControlFlow;
-use std::sync::Arc;
 
-use gfd_core::BoundValidator;
 use gfd_extended::{Operand, XGfd, XRhs};
 use gfd_graph::{AttrId, FxHashMap, Graph, NodeId};
 use gfd_logic::{Gfd, Literal, Rhs};
-use gfd_pattern::{CompiledPattern, MatcherScratch, Pattern, Var};
+use gfd_pattern::{CompiledPattern, MatcherScratch, PLabel, Pattern, Var};
 
 use crate::state::GraphState;
 use crate::update::{Update, UpdateBatch};
@@ -161,24 +171,25 @@ impl ViolationDelta {
     }
 }
 
-/// A probe a batch runs: rule index, pattern variable, and the node the
-/// variable is seeded at.
-type Anchor = (usize, Var, NodeId);
+/// One rule's request for a probe: pattern group, pattern variable, the
+/// node the variable is seeded at, and the rule. Sorted, the requests for
+/// one probe are adjacent.
+type Anchor = (usize, Var, NodeId, usize);
 
 /// A match keyed by its pivot image, the order of the stored violations.
 type Keyed = (NodeId, Vec<NodeId>);
 
-/// One pattern's compiled plans: one rooted at each pattern variable.
-#[derive(Clone)]
-struct RulePlans {
+/// One pivoted pattern's compiled plans: one rooted at each pattern
+/// variable.
+struct PatternPlans {
     /// Rooted at the pivot: the initial enumeration and every entity read
     /// use it.
-    pivot: Arc<CompiledPattern>,
+    pivot: CompiledPattern,
     /// Rooted at each other variable, in variable order.
-    others: Arc<[CompiledPattern]>,
+    others: Vec<CompiledPattern>,
 }
 
-impl RulePlans {
+impl PatternPlans {
     /// The plan rooted at `x`: seeded at `v`, it enumerates the matches
     /// with `h(x) = v`.
     fn rooted_at(&self, x: Var) -> &CompiledPattern {
@@ -190,34 +201,41 @@ impl RulePlans {
     }
 }
 
-/// Every match of one rule in `g` through `anchors` (that rule's anchors,
-/// sorted), keyed by pivot image, sorted and deduplicated. An anchor at a
-/// node `g` does not have (one the batch adds, probed on the graph before
-/// it) finds nothing.
-fn matches_through(
-    plans: &RulePlans,
+/// The rules on one pivoted pattern, with that pattern's plans.
+struct Group {
+    plans: PatternPlans,
+    /// Indexes of the member rules, ascending.
+    members: Vec<usize>,
+}
+
+/// Runs one probe: `plan` seeded at `v` in `g`, through the monitor's one
+/// `scratch`, streaming each match to `sink`. A node `g` does not have
+/// (one a batch adds, probed on the graph before it) has no matches.
+fn probe(
+    plan: &CompiledPattern,
     g: &Graph,
-    anchors: &[Anchor],
+    v: NodeId,
     scratch: &mut MatcherScratch,
-) -> Vec<Keyed> {
-    let pivot = plans.pivot.start_var();
-    let mut found: Vec<Keyed> = Vec::new();
-    for by_var in anchors.chunk_by(|a, b| a.1 == b.1) {
-        let plan = plans.rooted_at(by_var[0].1);
-        let mut matcher = plan.matcher_from(g, std::mem::take(scratch));
-        for &(_, _, v) in by_var {
-            if v.index() < g.node_count() {
-                let _ = matcher.for_each_at(v, |m| {
-                    found.push((m[pivot], m.to_vec()));
-                    ControlFlow::Continue(())
-                });
-            }
-        }
-        *scratch = matcher.into_scratch();
+    mut sink: impl FnMut(&[NodeId]),
+) {
+    if v.index() >= g.node_count() {
+        return;
     }
-    found.sort_unstable();
-    found.dedup();
-    found
+    let mut matcher = plan.matcher_from(g, std::mem::take(scratch));
+    let _ = matcher.for_each_at(v, |m| {
+        sink(m);
+        ControlFlow::Continue(())
+    });
+    *scratch = matcher.into_scratch();
+}
+
+/// Sets `key` to match `m` keyed by its pivot image, reusing `key`'s
+/// buffer, so that looking a match up in a violation store allocates
+/// nothing.
+fn set_key(key: &mut Keyed, m: &[NodeId], pivot: Var) {
+    key.0 = m[pivot];
+    key.1.clear();
+    key.1.extend_from_slice(m);
 }
 
 /// Panics unless every node an update names exists when it applies: the
@@ -249,17 +267,19 @@ fn check_node_ids(batch: &UpdateBatch, mut nodes: usize) {
 /// values are pure functions of the input sequence.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct MonitorStats {
-    /// Anchored probes: one per `(rule, variable, node)` anchor a batch
-    /// re-checks (a topology batch runs each on the graph before and
-    /// after it), plus one per rule per
+    /// Probes, counted per pattern: one per `(pattern, variable, node)`
+    /// probe a batch runs, however many rules on the pattern anchored it
+    /// (a topology batch runs each on the graph before and after it), plus
+    /// one per pattern whose pivot label admits the entity per
     /// [`ViolationMonitor::validate_entity`] call.
     pub bound_queries: u64,
     /// Never incremented: a batch re-checks only the matches through its
     /// anchors and has no full re-enumeration fallback. The field stays
     /// because `perfbench/src/workload.rs` still reads it.
     pub bound_fallbacks: u64,
-    /// Deterministic memory-touch meter of the bound literal evaluation
-    /// (see [`BoundValidator::work`]).
+    /// Deterministic work meter of entity reads: one per node image the
+    /// read's probes materialise (each pattern's rows once), plus one per
+    /// `(match, member rule)` verdict.
     pub validation_work: u64,
     /// Distinct patterns whose plan sets were compiled across
     /// construction and catalog refreshes.
@@ -282,35 +302,40 @@ pub struct EntityVerdict {
 /// evolving graph.
 pub struct ViolationMonitor {
     rules: Vec<MonitorRule>,
-    /// Per rule: its pattern's plan set, `Arc`-shared with `plan_cache`
-    /// and with every other rule on the same pattern.
-    plans: Vec<RulePlans>,
-    /// Plan sets keyed by pattern, pivot included: plans are
-    /// graph-independent and depend on nothing else. Rebuilt from the
-    /// rule list on every install, so a refresh keeps the plans of the
-    /// patterns that stay and drops the rest.
-    plan_cache: FxHashMap<Pattern, RulePlans>,
-    /// Read-set index: per attribute, the `(rule, variable)` pairs whose
-    /// literals read it, in rule and then variable order.
-    readers: BTreeMap<AttrId, Vec<(usize, Var)>>,
+    /// Rules grouped by pivoted pattern, in order of each pattern's first
+    /// rule. Rebuilt from the rule list on every install; a refresh keeps
+    /// the plans of the patterns that stay and drops the rest.
+    groups: Vec<Group>,
+    /// Read-set index: per attribute, the `(group, variable, rule)`
+    /// triples whose literals read it, sorted, each with the variable's
+    /// label so that a write filters them without reading the patterns.
+    readers: BTreeMap<AttrId, Vec<(usize, Var, usize, PLabel)>>,
     graph: Graph,
     /// Per rule: violating matches keyed `(pivot image, match)`, so the
     /// violations pivoted at one node are one contiguous range.
     violations: Vec<BTreeSet<Keyed>>,
+    /// The one matcher scratch every probe reuses.
+    scratch: MatcherScratch,
+    /// Row buffer of the current read or write probe: its matches,
+    /// arity-strided.
+    rows: Vec<NodeId>,
     stats: MonitorStats,
 }
 
 impl ViolationMonitor {
-    /// Builds the monitor over its own copy of `g` with a full initial
+    /// Builds the monitor over its own clone of `g`, which shares `g`'s
+    /// topology and copies only its attribute arrays, with a full initial
     /// validation pass.
     pub fn new(g: &Graph, rules: Vec<MonitorRule>) -> ViolationMonitor {
         let mut mon = ViolationMonitor {
             rules: Vec::new(),
-            plans: Vec::new(),
-            plan_cache: FxHashMap::default(),
+            groups: Vec::new(),
             readers: BTreeMap::new(),
             graph: g.clone(),
             violations: Vec::new(),
+            // gfd-lint: allow(perf) — the monitor's one scratch: every probe of its life reuses it
+            scratch: MatcherScratch::new(),
+            rows: Vec::new(),
             stats: MonitorStats::default(),
         };
         mon.install_rules(rules);
@@ -325,62 +350,107 @@ impl ViolationMonitor {
     }
 
     fn install_rules(&mut self, rules: Vec<MonitorRule>) {
-        // The new patterns' pivot plans are compiled first and their other
-        // variables' plans after them, so the pivot plans that every
-        // entity read walks lie together in memory. The previous map drops
-        // at the end with the plans no rule uses any more.
-        let mut previous = std::mem::take(&mut self.plan_cache);
-        let mut fresh: Vec<&Pattern> = Vec::new();
-        for q in rules.iter().map(MonitorRule::pattern) {
-            if self.plan_cache.contains_key(q) {
-                continue;
-            }
-            let plans = match previous.remove(q) {
-                Some(plans) => {
-                    self.stats.plan_cache_hits += 1;
-                    plans
-                }
+        // Plans are keyed by pattern, pivot included: they are
+        // graph-independent and depend on nothing else. The previous
+        // plans drop at the end with the patterns no rule uses any more.
+        let mut previous: FxHashMap<Pattern, PatternPlans> = std::mem::take(&mut self.groups)
+            .into_iter()
+            .map(|g| (g.plans.pivot.pattern().clone(), g.plans))
+            .collect();
+        let mut index: FxHashMap<&Pattern, usize> = FxHashMap::default();
+        let mut groups: Vec<Group> = Vec::new();
+        let mut fresh = Vec::new();
+        for (i, q) in rules.iter().map(MonitorRule::pattern).enumerate() {
+            let gi = match index.get(q) {
+                Some(&gi) => gi,
                 None => {
-                    self.stats.plans_compiled += 1;
-                    fresh.push(q);
-                    RulePlans {
-                        pivot: Arc::new(CompiledPattern::new(q)),
-                        others: Arc::new([]),
-                    }
+                    let plans = match previous.remove(q) {
+                        Some(plans) => {
+                            self.stats.plan_cache_hits += 1;
+                            plans
+                        }
+                        None => {
+                            self.stats.plans_compiled += 1;
+                            fresh.push(groups.len());
+                            PatternPlans {
+                                pivot: CompiledPattern::new(q),
+                                others: Vec::new(),
+                            }
+                        }
+                    };
+                    index.insert(q, groups.len());
+                    groups.push(Group {
+                        plans,
+                        members: Vec::new(),
+                    });
+                    groups.len() - 1
                 }
             };
-            self.plan_cache.insert(q.clone(), plans);
+            groups[gi].members.push(i);
         }
-        for q in fresh {
-            if let Some(plans) = self.plan_cache.get_mut(q) {
-                plans.others = (0..q.node_count())
-                    .filter(|&x| x != q.pivot())
-                    .map(|x| CompiledPattern::compile_bound(q, x))
-                    .collect();
-            }
+        // The new patterns' pivot plans are compiled first and their other
+        // variables' plans after them, so the pivot plans that every
+        // entity read walks lie together in memory.
+        for gi in fresh {
+            let q = groups[gi].plans.pivot.pattern();
+            let others = (0..q.node_count())
+                .filter(|&x| x != q.pivot())
+                .map(|x| CompiledPattern::compile_bound(q, x))
+                .collect();
+            groups[gi].plans.others = others;
         }
-        self.plans = rules
-            .iter()
-            .map(|r| self.plan_cache[r.pattern()].clone())
-            .collect();
         self.readers = BTreeMap::new();
-        for (i, rule) in rules.iter().enumerate() {
-            for (x, attr) in rule.read_terms() {
-                self.readers.entry(attr).or_default().push((i, x));
+        for (gi, group) in groups.iter().enumerate() {
+            let q = group.plans.pivot.pattern();
+            for &i in &group.members {
+                for (x, attr) in rules[i].read_terms() {
+                    let reader = (gi, x, i, q.node_label(x));
+                    self.readers.entry(attr).or_default().push(reader);
+                }
             }
         }
-        self.violations = Vec::with_capacity(rules.len());
-        for (rule, plans) in rules.iter().zip(&self.plans) {
-            let pivot = rule.pattern().pivot();
-            let mut set = BTreeSet::new();
-            let _ = plans.pivot.matcher(&self.graph).for_each(|m| {
-                if !rule.match_satisfies(m, &self.graph) {
-                    set.insert((m[pivot], m.to_vec()));
-                }
-                ControlFlow::Continue(())
-            });
-            self.violations.push(set);
+        for list in self.readers.values_mut() {
+            list.sort_unstable();
         }
+        // One enumeration per group checks every member rule on each
+        // match. Groups whose pivots carry one label are seeded at each
+        // pivot candidate in turn, so a candidate's neighbourhood is read
+        // from memory once for all of them.
+        let g = &self.graph;
+        let mut found: Vec<Vec<Keyed>> = vec![Vec::new(); rules.len()];
+        let mut by_label: Vec<(PLabel, usize)> = groups
+            .iter()
+            .enumerate()
+            .map(|(gi, group)| {
+                let q = group.plans.pivot.pattern();
+                (q.node_label(q.pivot()), gi)
+            })
+            .collect();
+        by_label.sort_unstable();
+        for bucket in by_label.chunk_by(|a, b| a.0 == b.0) {
+            let all: Vec<NodeId>;
+            let candidates = match bucket[0].0 {
+                PLabel::Is(l) => g.nodes_with_label(l),
+                PLabel::Wildcard => {
+                    all = g.nodes().collect();
+                    &all
+                }
+            };
+            for &v in candidates {
+                for &(_, gi) in bucket {
+                    let Group { plans, members } = &groups[gi];
+                    probe(&plans.pivot, g, v, &mut self.scratch, |m| {
+                        for &i in members {
+                            if !rules[i].match_satisfies(m, g) {
+                                found[i].push((v, m.to_vec()));
+                            }
+                        }
+                    });
+                }
+            }
+        }
+        self.violations = found.into_iter().map(BTreeSet::from_iter).collect();
+        self.groups = groups;
         self.rules = rules;
     }
 
@@ -395,44 +465,48 @@ impl ViolationMonitor {
     }
 
     /// Single-entity bound validation: "does *this* node currently pivot a
-    /// violation of any monitored rule?" Each rule is answered by seeding
-    /// its cached pivot-rooted plan at `v` and evaluating over only the
-    /// matches through `v` — base rules route through [`BoundValidator`]
-    /// (no global match table), extended rules check their built-in
-    /// predicates per streamed match. Returns the rules `v` violates, with
-    /// the offending matches.
+    /// violation of any monitored rule?" Each pattern group whose pivot
+    /// label admits `v` is probed once, by seeding its pivot-rooted plan at
+    /// `v`; every member rule, base or extended, is checked on each of the
+    /// probe's matches. No global match table is built. Returns the rules
+    /// `v` violates, in rule order, each with its offending matches in
+    /// enumeration order.
     pub fn validate_entity(&mut self, v: NodeId) -> Vec<EntityVerdict> {
+        let g = &self.graph;
+        let label = g.node_label(v);
         let mut out = Vec::new();
-        let mut validator = BoundValidator::new(&self.graph);
-        for (i, rule) in self.rules.iter().enumerate() {
+        for group in &self.groups {
+            let plan = &group.plans.pivot;
+            let q = plan.pattern();
+            if !q.node_label(q.pivot()).admits(label) {
+                continue;
+            }
             self.stats.bound_queries += 1;
-            let plan = &self.plans[i].pivot;
-            let violations: Vec<Vec<NodeId>> = match rule {
-                MonitorRule::Base(gfd) => {
-                    let mut ms = gfd_pattern::MatchSet::new(gfd.pattern().node_count());
-                    validator.violations_at(gfd, plan, v, &mut ms);
-                    ms.iter().map(<[NodeId]>::to_vec).collect()
-                }
-                MonitorRule::Extended(_) => {
-                    let mut found = Vec::new();
-                    let mut matcher = plan.matcher(&self.graph);
-                    let _ = matcher.for_each_at(v, |m| {
-                        if !rule.match_satisfies(m, &self.graph) {
-                            found.push(m.to_vec());
-                        }
-                        ControlFlow::Continue(())
+            self.rows.clear();
+            let rows = &mut self.rows;
+            probe(plan, g, v, &mut self.scratch, |m| rows.extend_from_slice(m));
+            if self.rows.is_empty() {
+                continue;
+            }
+            let matches = self.rows.chunks_exact(q.node_count());
+            self.stats.validation_work +=
+                (self.rows.len() + matches.len() * group.members.len()) as u64;
+            for &i in &group.members {
+                let rule = &self.rules[i];
+                let violations: Vec<Vec<NodeId>> = matches
+                    .clone()
+                    .filter(|m| !rule.match_satisfies(m, g))
+                    .map(<[NodeId]>::to_vec)
+                    .collect();
+                if !violations.is_empty() {
+                    out.push(EntityVerdict {
+                        rule: i,
+                        violations,
                     });
-                    found
                 }
-            };
-            if !violations.is_empty() {
-                out.push(EntityVerdict {
-                    rule: i,
-                    violations,
-                });
             }
         }
-        self.stats.validation_work += validator.work();
+        out.sort_by_key(|e| e.rule);
         out
     }
 
@@ -460,7 +534,9 @@ impl ViolationMonitor {
     /// Applies a batch and reports the violation delta. An
     /// attribute-only batch is patched into the graph in place; a batch
     /// that adds nodes or adds or removes edges rebuilds it. Either way,
-    /// only the matches through the batch's anchors are re-checked.
+    /// each `(pattern, variable, node)` probe the batch's anchors name
+    /// runs once, and its matches are re-checked against the rules whose
+    /// anchors named it.
     ///
     /// # Panics
     /// Panics, before applying any op, if an op names a node that does
@@ -469,60 +545,101 @@ impl ViolationMonitor {
     pub fn apply(&mut self, batch: &UpdateBatch) -> ViolationDelta {
         check_node_ids(batch, self.graph.node_count());
         let (mut anchors, before) = self.patch(batch);
-        anchors.sort_unstable();
+        // Each op's anchors come out sorted, so this merges sorted runs.
+        anchors.sort();
         anchors.dedup();
-        self.stats.bound_queries += anchors.len() as u64;
 
-        let mut delta = ViolationDelta {
-            per_rule: vec![RuleDelta::default(); self.rules.len()],
-            affected_pivots: 0,
-        };
-        let mut scratch = MatcherScratch::new();
-        for group in anchors.chunk_by(|a, b| a.0 == b.0) {
-            let i = group[0].0;
-            let rule = &self.rules[i];
-            // Only a topology batch can lose a match; the matches through
-            // the anchors on the graph before it are the candidates.
-            let lost = match &before {
-                Some(old) => matches_through(&self.plans[i], old, group, &mut scratch),
-                None => Vec::new(),
-            };
-            let now = matches_through(&self.plans[i], &self.graph, group, &mut scratch);
-            let mut pivots: Vec<NodeId> = lost.iter().chain(&now).map(|&(p, _)| p).collect();
+        let ViolationMonitor {
+            rules,
+            groups,
+            graph,
+            violations,
+            scratch,
+            rows,
+            stats,
+            ..
+        } = self;
+        let (g, before) = (&*graph, before.as_ref());
+        let mut per_rule = vec![RuleDelta::default(); rules.len()];
+        // Per group, the `(rule, pivot image)` pairs of the matches its
+        // probes re-checked; per probe, the pivot images of its matches.
+        let (mut pivots, mut at) = (Vec::new(), Vec::new());
+        let mut affected_pivots = 0;
+        let mut key: Keyed = (NodeId(0), Vec::new());
+        for by_group in anchors.chunk_by(|a, b| a.0 == b.0) {
+            let plans = &groups[by_group[0].0].plans;
+            let (pivot, arity) = (plans.pivot.start_var(), plans.pivot.pattern().node_count());
+            for anchored in by_group.chunk_by(|a, b| (a.1, a.2) == (b.1, b.2)) {
+                stats.bound_queries += 1;
+                let (x, v) = (anchored[0].1, anchored[0].2);
+                let plan = plans.rooted_at(x);
+                rows.clear();
+                probe(plan, g, v, scratch, |m| rows.extend_from_slice(m));
+                // A re-checked match's old verdict is its membership in the
+                // rule's store, its new one `match_satisfies` on `g`. A
+                // match two probes both find is re-checked twice, to the
+                // same effect.
+                for m in rows.chunks_exact(arity) {
+                    at.push(m[pivot]);
+                    set_key(&mut key, m, pivot);
+                    for &(.., i) in anchored {
+                        let violates = !rules[i].match_satisfies(m, g);
+                        let stored = &mut violations[i];
+                        if violates && !stored.contains(&key) {
+                            stored.insert(key.clone());
+                            per_rule[i].added.push(m.to_vec());
+                        } else if !violates && stored.remove(&key) {
+                            per_rule[i].removed.push(m.to_vec());
+                        }
+                    }
+                }
+                // Only a topology batch can lose a match: one this probe
+                // finds on the graph before the batch but not on `g`.
+                if let Some(old) = before {
+                    let mut now: Vec<&[NodeId]> = rows.chunks_exact(arity).collect();
+                    now.sort_unstable();
+                    probe(plan, old, v, scratch, |m| {
+                        if now.binary_search(&m).is_ok() {
+                            return;
+                        }
+                        at.push(m[pivot]);
+                        set_key(&mut key, m, pivot);
+                        for &(.., i) in anchored {
+                            if violations[i].remove(&key) {
+                                per_rule[i].removed.push(m.to_vec());
+                            }
+                        }
+                    });
+                }
+                at.sort_unstable();
+                at.dedup();
+                for &(.., i) in anchored {
+                    pivots.extend(at.iter().map(|&p| (i, p)));
+                }
+                at.clear();
+            }
             pivots.sort_unstable();
             pivots.dedup();
-            delta.affected_pivots += pivots.len();
-
-            let stored = &mut self.violations[i];
-            let (mut added, mut removed) = (Vec::new(), Vec::new());
-            for key in lost {
-                if now.binary_search(&key).is_err() && stored.remove(&key) {
-                    removed.push(key.1);
-                }
-            }
-            for key in now {
-                let violates = !rule.match_satisfies(&key.1, &self.graph);
-                if violates && !stored.contains(&key) {
-                    added.push(key.1.clone());
-                    stored.insert(key);
-                } else if !violates && stored.remove(&key) {
-                    removed.push(key.1);
-                }
-            }
-            // Deltas list matches in match order.
-            added.sort_unstable();
-            removed.sort_unstable();
-            delta.per_rule[i] = RuleDelta { added, removed };
+            affected_pivots += pivots.len();
+            pivots.clear();
         }
-        delta
+        // Deltas list matches in match order.
+        for d in &mut per_rule {
+            d.added.sort_unstable();
+            d.removed.sort_unstable();
+        }
+        ViolationDelta {
+            per_rule,
+            affected_pivots,
+        }
     }
 
     /// Applies `batch` to the graph and returns its anchors, with the
     /// graph before the batch if the batch changed topology. An
-    /// attribute op on `(v, A)` anchors the `(rule, variable)` pairs that
-    /// read `A` and whose label admits `v`, and is patched in place. A
-    /// batch with any topology op rebuilds the graph and anchors every
-    /// variable of every rule whose label admits a touched node.
+    /// attribute op on `(v, A)` anchors the `(group, variable, rule)`
+    /// triples that read `A` and whose label admits `v`, and is patched in
+    /// place. A batch with any topology op rebuilds the graph and anchors
+    /// every variable of every rule whose label admits a touched node.
     fn patch(&mut self, batch: &UpdateBatch) -> (Vec<Anchor>, Option<Graph>) {
         let mut anchors = Vec::new();
         let topology = batch
@@ -533,12 +650,12 @@ impl ViolationMonitor {
             let mut state = GraphState::from_graph(&self.graph);
             let touched = state.apply_batch(batch);
             let before = std::mem::replace(&mut self.graph, state.freeze());
-            for (i, rule) in self.rules.iter().enumerate() {
-                let q = rule.pattern();
+            for (gi, group) in self.groups.iter().enumerate() {
+                let q = group.plans.pivot.pattern();
                 for x in 0..q.node_count() {
                     for &v in &touched {
                         if q.node_label(x).admits(self.graph.node_label(v)) {
-                            anchors.push((i, x, v));
+                            anchors.extend(group.members.iter().map(|&i| (gi, x, v, i)));
                         }
                     }
                 }
@@ -558,9 +675,9 @@ impl ViolationMonitor {
                 _ => unreachable!("attribute-only batch"),
             };
             let label = self.graph.node_label(node);
-            for &(i, x) in self.readers.get(&attr).into_iter().flatten() {
-                if self.rules[i].pattern().node_label(x).admits(label) {
-                    anchors.push((i, x, node));
+            for &(gi, x, i, l) in self.readers.get(&attr).into_iter().flatten() {
+                if l.admits(label) {
+                    anchors.push((gi, x, node, i));
                 }
             }
         }
@@ -573,7 +690,7 @@ mod tests {
     use super::*;
     use gfd_graph::{GraphBuilder, Value};
     use gfd_logic::{Literal, Rhs};
-    use gfd_pattern::{PLabel, Pattern};
+    use gfd_pattern::Pattern;
 
     /// Fig. 1's φ1 scenario as a monitor fixture: person --create-->
     /// product, products typed "film" require producer creators.
@@ -782,8 +899,8 @@ mod tests {
     }
 
     /// Plans are compiled once per pattern: rules on one pattern share a
-    /// plan set, a refresh reuses the plans of the patterns that stay, and
-    /// a pattern no rule uses any more leaves the cache.
+    /// group and its plan set, a refresh reuses the plans of the patterns
+    /// that stay, and a pattern no rule uses any more leaves the groups.
     #[test]
     fn refresh_catalog_reuses_cached_plans() {
         let (g, rules) = fixture();
@@ -795,6 +912,12 @@ mod tests {
         };
         let edge = rules[0].pattern().clone();
         let single = Pattern::single(product);
+        let patterns = |mon: &ViolationMonitor| -> Vec<Pattern> {
+            mon.groups
+                .iter()
+                .map(|g| g.plans.pivot.pattern().clone())
+                .collect()
+        };
 
         let mut mon = ViolationMonitor::new(&g, rules.clone());
         assert_eq!(mon.stats().plans_compiled, 1);
@@ -803,21 +926,21 @@ mod tests {
         assert_eq!(mon.stats().plans_compiled, 1);
         assert_eq!(mon.stats().plan_cache_hits, 1);
 
-        // Two more rules on φ1's pattern share its plan set; a rule on a
-        // new pattern compiles one.
+        // Two more rules on φ1's pattern join its group; a rule on a new
+        // pattern compiles one.
         let mut more = rules.clone();
-        more.extend([on(&edge, 1, 0), on(&edge, 0, 1), on(&single, 0, 2)]);
+        more.extend([on(&edge, 1, 0), on(&single, 0, 2), on(&edge, 0, 1)]);
         mon.refresh_catalog(more);
         assert_eq!(mon.stats().plans_compiled, 2);
         assert_eq!(mon.stats().plan_cache_hits, 2);
-        assert_eq!(mon.plan_cache.len(), 2);
-        assert!(Arc::ptr_eq(&mon.plans[0].pivot, &mon.plans[2].pivot));
+        assert_eq!(patterns(&mon), vec![edge.clone(), single.clone()]);
+        assert_eq!(mon.groups[0].members, vec![0, 1, 3]);
+        assert_eq!(mon.groups[1].members, vec![2]);
 
         // Dropping the single-node rule evicts its pattern's plans, so the
         // pattern compiles afresh when a rule on it comes back.
         mon.refresh_catalog(rules.clone());
-        assert_eq!(mon.plan_cache.len(), 1);
-        assert!(!mon.plan_cache.contains_key(&single));
+        assert_eq!(patterns(&mon), vec![edge]);
         let mut back = rules;
         back.push(on(&single, 0, 3));
         mon.refresh_catalog(back);
@@ -825,15 +948,18 @@ mod tests {
         assert_eq!(mon.stats().plan_cache_hits, 4);
     }
 
-    /// An attribute-only batch patches the graph in place: the edge array
-    /// is the same allocation afterwards, so no rebuild ran. A topology
-    /// batch does rebuild it.
+    /// The monitor's graph shares the caller's topology: its edge array is
+    /// the caller's allocation. An attribute-only batch patches the
+    /// graph's own attributes in place and keeps sharing it, so no rebuild
+    /// ran; the caller's attributes stay as they were. A topology batch
+    /// rebuilds the graph.
     #[test]
     fn attribute_only_batch_patches_the_graph_in_place() {
         let (g, rules) = fixture();
         let ty = g.interner().lookup_attr("type").unwrap();
         let mut mon = ViolationMonitor::new(&g, rules);
-        let edges = mon.graph().edges().as_ptr();
+        let edges = g.edges().as_ptr();
+        assert_eq!(mon.graph().edges().as_ptr(), edges);
         let mut batch = UpdateBatch::new();
         batch.set_attr(NodeId::from_index(0), ty, Value::Int(7));
         batch.remove_attr(NodeId::from_index(3), ty);
@@ -845,6 +971,8 @@ mod tests {
             Some(Value::Int(7))
         );
         assert_eq!(mon.graph().attr(NodeId::from_index(3), ty), None);
+        assert_ne!(g.attr(NodeId::from_index(0), ty), Some(Value::Int(7)));
+        assert!(g.attr(NodeId::from_index(3), ty).is_some());
 
         let create = g.interner().lookup_label("create").unwrap();
         let mut batch = UpdateBatch::new();

@@ -1,9 +1,10 @@
 //! Property tests: the incrementally-maintained violation set must equal
 //! a from-scratch validation of the current graph after every batch, for
-//! arbitrary update sequences over base and extended rules, and the
-//! monitor's graph must equal a from-scratch replay of the batches. Mixed
-//! batches take the rebuild path; attribute-only batches take the
-//! in-place path.
+//! arbitrary update sequences over base and extended rules, every entity
+//! read must return exactly the from-scratch violations pivoted at the
+//! entity, and the monitor's graph must equal a from-scratch replay of the
+//! batches. Mixed batches take the rebuild path; attribute-only batches
+//! take the in-place path.
 
 use std::collections::BTreeSet;
 use std::ops::ControlFlow;
@@ -145,6 +146,41 @@ fn oracle(g: &Graph, rules: &[MonitorRule]) -> Vec<BTreeSet<Vec<NodeId>>> {
         .collect()
 }
 
+/// Checks `validate_entity` at every node against `want`, the oracle's
+/// violation sets: each read names, in rule order and once each, exactly
+/// the rules with a violation pivoted at the node, and exactly those
+/// violations.
+fn check_reads(
+    mon: &mut ViolationMonitor,
+    rules: &[MonitorRule],
+    want: &[BTreeSet<Vec<NodeId>>],
+    when: &str,
+) -> TestCaseResult {
+    for v in 0..mon.graph().node_count() {
+        let v = NodeId::from_index(v);
+        let verdicts = mon.validate_entity(v);
+        prop_assert!(
+            verdicts.windows(2).all(|w| w[0].rule < w[1].rule),
+            "{}: entity {:?} verdicts out of rule order",
+            when,
+            v
+        );
+        let mut got: Vec<BTreeSet<Vec<NodeId>>> = vec![BTreeSet::new(); rules.len()];
+        for e in verdicts {
+            let n = e.violations.len();
+            got[e.rule] = e.violations.into_iter().collect();
+            prop_assert!(n > 0, "{}: entity {:?} empty verdict", when, v);
+            prop_assert_eq!(got[e.rule].len(), n, "{}: duplicate violation", when);
+        }
+        for (i, (rule, set)) in rules.iter().zip(want).enumerate() {
+            let pivot = rule.pattern().pivot();
+            let at: BTreeSet<Vec<NodeId>> = set.iter().filter(|m| m[pivot] == v).cloned().collect();
+            prop_assert_eq!(&got[i], &at, "{}: entity {:?}, rule {}", when, v, i);
+        }
+    }
+    Ok(())
+}
+
 /// Proto-ops over indexes; resolved to Updates against the current size.
 #[derive(Clone, Debug)]
 enum ProtoOp {
@@ -215,8 +251,8 @@ proptest! {
 }
 
 /// Applies `batches` to a monitor over the base graph and checks, after
-/// every batch, the violation sets and deltas against a from-scratch
-/// validation and the graph against a from-scratch replay.
+/// every batch, the violation sets, deltas and entity reads against a
+/// from-scratch validation and the graph against a from-scratch replay.
 fn check_monitor(
     vals: &[i64],
     edges: &[(usize, usize)],
@@ -237,6 +273,7 @@ fn check_monitor(
         let got: BTreeSet<Vec<NodeId>> = mon.violations(i).map(|m| m.to_vec()).collect();
         prop_assert_eq!(&got, set, "initial rule {}", i);
     }
+    check_reads(&mut mon, &rs, &want, "initial")?;
 
     let mut applied: Vec<UpdateBatch> = Vec::new();
     for protos in batches {
@@ -303,6 +340,7 @@ fn check_monitor(
             prop_assert_eq!(&added, &expect_added, "delta.added, rule {}", i);
             prop_assert_eq!(&removed, &expect_removed, "delta.removed, rule {}", i);
         }
+        check_reads(&mut mon, &rs, &want, "after batch")?;
     }
     Ok(())
 }

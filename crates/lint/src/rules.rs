@@ -566,6 +566,14 @@ impl SimulatedCost {
 /// there are structure-of-arrays CSR by design (offset ranges into flat
 /// arrays); a vec-of-vecs is a per-node allocation and a pointer chase per
 /// access, exactly the layout the scale refactor removed.
+///
+/// In the violation monitor's crate (`crates/incremental/src/`) it flags
+/// every construction of a `MatcherScratch` or a `BoundValidator`, and
+/// every `.matcher(…)` call (which builds a fresh scratch): each one
+/// allocates and zeroes a mark array of `|V|` entries, which on a
+/// million-node graph costs more than the query it serves. The monitor
+/// owns one scratch for its whole life; its one construction site carries
+/// the escape.
 pub struct PerfHotLoop;
 
 impl Rule for PerfHotLoop {
@@ -574,15 +582,15 @@ impl Rule for PerfHotLoop {
     }
 
     fn describe(&self) -> &'static str {
-        "Arc::clone/.to_vec()/format! in matcher/harvest loops; full-LHS re-accumulation in lattice loops; Vec<Vec< in frozen-graph paths; MatchTable::build in bound-validation paths"
+        "Arc::clone/.to_vec()/format! in matcher/harvest loops; full-LHS re-accumulation in lattice loops; Vec<Vec< in frozen-graph paths; MatchTable::build in bound-validation paths; per-call MatcherScratch/BoundValidator construction in the monitor"
     }
 
     fn check(&self, ctx: &FileContext<'_>, out: &mut Vec<Diagnostic>) {
-        // Three jurisdictions: the loop-allocation checks guard the matcher/
+        // Four jurisdictions: the loop-allocation checks guard the matcher/
         // harvest/lattice hot paths; the nested-Vec layout check guards the
         // frozen graph's SoA representation; the table-construction check
-        // guards the bound-validation paths. The perf fixtures exercise all
-        // of them.
+        // guards the bound-validation paths; the scratch-construction check
+        // guards the monitor. The perf fixtures exercise all of them.
         let nested_scope =
             ctx.rel.contains("crates/graph/src/") || ctx.rel.contains("fixtures/perf/");
         let loop_scope = in_scope(
@@ -603,7 +611,8 @@ impl Rule for PerfHotLoop {
                 "crates/incremental/src/monitor.rs",
             ],
         );
-        if !nested_scope && !loop_scope && !bound_scope {
+        let scratch_scope = in_scope(ctx, self.name(), &["crates/incremental/src/"]);
+        if !nested_scope && !loop_scope && !bound_scope && !scratch_scope {
             return;
         }
         // Brace-frame tracking: a frame opened after for/while/loop is a
@@ -667,6 +676,31 @@ impl Rule for PerfHotLoop {
                             .to_string(),
                     ),
                 );
+            }
+            if scratch_scope && !ctx.is_test_line(t.line) {
+                let built = if (t.text == "MatcherScratch" || t.text == "BoundValidator")
+                    && t.kind == TokKind::Ident
+                    && ctx.ct(ci + 1) == ":"
+                    && ctx.ct(ci + 2) == ":"
+                    && matches!(ctx.ct(ci + 3), "new" | "default" | "with_threshold")
+                {
+                    Some(t.text)
+                } else if t.text == "." && ctx.ct(ci + 1) == "matcher" && ctx.ct(ci + 2) == "(" {
+                    Some(".matcher(…)")
+                } else {
+                    None
+                };
+                if let Some(what) = built {
+                    out.push(ctx.diag(
+                        self.name(),
+                        t.line,
+                        format!(
+                            "`{what}` builds a fresh mark array of |V| entries per call — \
+                             reuse the monitor's one `MatcherScratch` through `matcher_from`, \
+                             or justify the escape"
+                        ),
+                    ));
+                }
             }
             if !loop_scope || !frames.iter().any(|&l| l) || ctx.is_test_line(t.line) {
                 continue;

@@ -16,6 +16,7 @@ const PAIRS: &[(&str, &str, usize)] = &[
     ("unsafe-code", "", 2),         // missing forbid + SAFETY-less unsafe
     ("simulated-cost", "", 2),      // SystemTime + Instant-into-cost statement
     ("perf", "", 8), // format!, .to_vec(), Arc::clone, evaluate, accumulate_lhs in a loop; 2× Vec<Vec<; MatchTable::build
+    ("perf", "scratch_", 3), // MatcherScratch::new, BoundValidator::new, .matcher(…) in the monitor
     ("hygiene", "", 5), // 2 untracked markers, 2 blanket allows, stale escape
     ("fault-boundary", "", 3), // undocumented catch_unwind + recv unwrap + recv_timeout expect
 ];

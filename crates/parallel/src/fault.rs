@@ -751,6 +751,12 @@ impl Checkpoint {
     /// Parses [`Checkpoint::to_text`]'s output. Version 1 snapshots carry
     /// no work meters, so a resume from one could not reproduce a cold
     /// run's counters: they are rejected like any other version.
+    ///
+    /// Any text, however corrupt, yields `Ok` or
+    /// [`FaultError::Checkpoint`], never a panic: ids are narrowed with
+    /// `try_from`, literal variables and match arities are checked against
+    /// their pattern, and no count reserves more slots than the text has
+    /// bytes.
     pub fn from_text(text: &str) -> Result<Checkpoint, FaultError> {
         let mut t = Toks::new(text);
         t.expect_tok("gfd-checkpoint")?;
@@ -792,7 +798,7 @@ impl Checkpoint {
             let pattern = read_pattern(&mut t)?;
             t.expect_tok("lhs")?;
             let k = t.usize_("lhs size")?;
-            let mut lhs = Vec::with_capacity(k);
+            let mut lhs = Vec::with_capacity(t.cap(k));
             for _ in 0..k {
                 lhs.push(read_literal(&mut t)?);
             }
@@ -802,6 +808,11 @@ impl Checkpoint {
                 "r" => Rhs::Lit(read_literal(&mut t)?),
                 other => return Err(ck_err(format!("bad rhs kind `{other}`"))),
             };
+            let rhs_lit = match &rhs {
+                Rhs::Lit(l) => Some(l),
+                Rhs::False => None,
+            };
+            check_vars(lhs.iter().chain(rhs_lit), &pattern)?;
             ck.rules.push(DiscoveredGfd {
                 gfd: Gfd::new(pattern, lhs, rhs),
                 support,
@@ -822,17 +833,24 @@ impl Checkpoint {
             let rows = t.usize_("node rows")?;
             let arity = t.usize_("node arity")?;
             let pattern = read_pattern(&mut t)?;
+            if arity != pattern.node_count() {
+                return Err(ck_err(format!(
+                    "match arity {arity} of a {}-node pattern",
+                    pattern.node_count()
+                )));
+            }
             t.expect_tok("covered")?;
             let ncov = t.usize_("covered count")?;
-            let mut covered = Vec::with_capacity(ncov);
+            let mut covered = Vec::with_capacity(t.cap(ncov));
             for _ in 0..ncov {
                 t.expect_tok("cov")?;
                 let k = t.usize_("cov lhs size")?;
-                let mut lhs = Vec::with_capacity(k);
+                let mut lhs = Vec::with_capacity(t.cap(k));
                 for _ in 0..k {
                     lhs.push(read_literal(&mut t)?);
                 }
                 let rhs = read_literal(&mut t)?;
+                check_vars(lhs.iter().chain([&rhs]), &pattern)?;
                 covered.push((lhs, rhs));
             }
             let mut matches = MatchSet::new(arity);
@@ -841,7 +859,7 @@ impl Checkpoint {
                 t.expect_tok("row")?;
                 row.clear();
                 for _ in 0..arity {
-                    row.push(NodeId::from_index(t.usize_("row entry")?));
+                    row.push(NodeId(narrow(t.usize_("row entry")?, "row entry")?));
                 }
                 matches.push(&row);
             }
@@ -861,16 +879,49 @@ fn ck_err(msg: String) -> FaultError {
     FaultError::Checkpoint(msg)
 }
 
+/// Narrows a parsed id to its id type's integer width.
+fn narrow<T: TryFrom<usize>>(n: usize, what: &str) -> Result<T, FaultError> {
+    T::try_from(n).map_err(|_| ck_err(format!("{what} {n} out of range")))
+}
+
+/// Rejects a literal that names a variable `pattern` does not have.
+fn check_vars<'l>(
+    lits: impl IntoIterator<Item = &'l Literal>,
+    pattern: &Pattern,
+) -> Result<(), FaultError> {
+    match lits
+        .into_iter()
+        .find(|l| l.max_var() >= pattern.node_count())
+    {
+        Some(l) => Err(ck_err(format!(
+            "literal variable {} of a {}-node pattern",
+            l.max_var(),
+            pattern.node_count()
+        ))),
+        None => Ok(()),
+    }
+}
+
 /// Token-stream reader over the checkpoint text.
 struct Toks<'a> {
     it: std::str::SplitWhitespace<'a>,
+    /// Bytes of the whole text: every counted item takes at least one
+    /// token, so no valid count exceeds it.
+    len: usize,
 }
 
 impl<'a> Toks<'a> {
     fn new(text: &'a str) -> Toks<'a> {
         Toks {
             it: text.split_whitespace(),
+            len: text.len(),
         }
+    }
+
+    /// A pre-reservation for `n` counted items, capped by the text length
+    /// so that a corrupt count cannot reserve memory the text cannot fill.
+    fn cap(&self, n: usize) -> usize {
+        n.min(self.len)
     }
 
     fn str_(&mut self, what: &str) -> Result<&'a str, FaultError> {
@@ -914,7 +965,7 @@ fn read_plabel(t: &mut Toks) -> Result<PLabel, FaultError> {
         .strip_prefix('l')
         .and_then(|n| n.parse::<usize>().ok())
         .ok_or_else(|| ck_err(format!("bad label `{tok}`")))?;
-    Ok(PLabel::Is(LabelId::from_index(id)))
+    Ok(PLabel::Is(LabelId(narrow(id, "label")?)))
 }
 
 fn write_pattern(s: &mut String, p: &Pattern) {
@@ -934,12 +985,12 @@ fn read_pattern(t: &mut Toks) -> Result<Pattern, FaultError> {
     t.expect_tok("p")?;
     let pivot = t.usize_("pattern pivot")?;
     let n = t.usize_("pattern node count")?;
-    let mut nodes = Vec::with_capacity(n);
+    let mut nodes = Vec::with_capacity(t.cap(n));
     for _ in 0..n {
         nodes.push(read_plabel(t)?);
     }
     let e = t.usize_("pattern edge count")?;
-    let mut edges = Vec::with_capacity(e);
+    let mut edges = Vec::with_capacity(t.cap(e));
     for _ in 0..e {
         let src = t.usize_("edge src")?;
         let dst = t.usize_("edge dst")?;
@@ -968,7 +1019,7 @@ fn read_value(t: &mut Toks) -> Result<Value, FaultError> {
         let id: usize = n
             .parse()
             .map_err(|_| ck_err(format!("bad symbol `{tok}`")))?;
-        return Ok(Value::Str(SymbolId::from_index(id)));
+        return Ok(Value::Str(SymbolId(narrow(id, "symbol")?)));
     }
     if let Some(n) = tok.strip_prefix('i') {
         let i: i64 = n.parse().map_err(|_| ck_err(format!("bad int `{tok}`")))?;
@@ -1004,7 +1055,7 @@ fn read_literal(t: &mut Toks) -> Result<Literal, FaultError> {
     match t.str_("literal kind")? {
         "c" => {
             let var = t.usize_("literal var")?;
-            let attr = AttrId::from_index(t.usize_("literal attr")?);
+            let attr = AttrId(narrow(t.usize_("literal attr")?, "literal attr")?);
             let value = read_value(t)?;
             Ok(Literal::Const { var, attr, value })
         }
@@ -1014,9 +1065,9 @@ fn read_literal(t: &mut Toks) -> Result<Literal, FaultError> {
             // would re-normalise, which is a no-op here but asserts on the
             // identity case a corrupt file could smuggle in).
             let lvar = t.usize_("literal lvar")?;
-            let lattr = AttrId::from_index(t.usize_("literal lattr")?);
+            let lattr = AttrId(narrow(t.usize_("literal lattr")?, "literal lattr")?);
             let rvar = t.usize_("literal rvar")?;
-            let rattr = AttrId::from_index(t.usize_("literal rattr")?);
+            let rattr = AttrId(narrow(t.usize_("literal rattr")?, "literal rattr")?);
             if (lvar, lattr) >= (rvar, rattr) {
                 return Err(ck_err("denormalised var-var literal".to_string()));
             }
@@ -1083,6 +1134,61 @@ mod tests {
 
     #[test]
     fn checkpoint_text_round_trips() {
+        let ck = sample_checkpoint();
+        let back = Checkpoint::from_text(&ck.to_text()).expect("round trip");
+        assert_eq!(ck.to_text(), back.to_text());
+        assert_eq!(back.stats.evaluation_work, 4567);
+        // A version-1 snapshot (no work meters) is refused, not resumed.
+        let v1 = ck
+            .to_text()
+            .replacen("gfd-checkpoint 2", "gfd-checkpoint 1", 1);
+        assert!(matches!(
+            Checkpoint::from_text(&v1),
+            Err(FaultError::Checkpoint(_))
+        ));
+        assert_eq!(back.rules.len(), 2);
+        assert_eq!(back.rules[0].confidence.to_bits(), 0.875f64.to_bits());
+        assert_eq!(back.frontier[0].matches.len(), 2);
+        assert_eq!(back.frontier[0].matches.get(0)[1], NodeId::from_index(7));
+        assert!(Checkpoint::from_text("gfd-checkpoint 9 end").is_err());
+        assert!(Checkpoint::from_text("garbage").is_err());
+        assert!(back.validate(30, 41, 0xdead_beef).is_ok());
+        assert!(back.validate(31, 41, 0xdead_beef).is_err());
+        assert!(back.validate(30, 41, 1).is_err());
+    }
+
+    /// Each corruption that used to panic or abort the decoder is refused
+    /// with `FaultError::Checkpoint`: a literal variable outside its
+    /// pattern, ids above their type's width, a count whose reservation
+    /// would abort, and a match arity that disagrees with the pattern.
+    #[test]
+    fn corrupt_checkpoints_are_refused() {
+        let text = sample_checkpoint().to_text();
+        for (from, to) in [
+            (" c 0 3 s9", " c 7 3 s9"),
+            (" v 0 1 1 0", " v 0 1 9 0"),
+            (" l2 ", " l4294967296 "),
+            (" c 0 3 ", " c 0 65536 "),
+            (" c 0 3 ", " c 0 4294967296 "),
+            (" s9", " s4294967296"),
+            ("row 4 7", "row 4294967296 7"),
+            ("p 0 2", "p 0 1000000000000000000"),
+            ("lhs 1", "lhs 1000000000000000000"),
+            ("covered 2", "covered 1000000000000000000"),
+            ("cov 1", "cov 1000000000000000000"),
+            ("node 2 2 2", "node 2 2 0"),
+            ("node 2 2 2", "node 2 2 1000000000000000000"),
+        ] {
+            assert!(text.contains(from), "{from:?} not in the sample");
+            let bad = text.replacen(from, to, 1);
+            assert!(
+                matches!(Checkpoint::from_text(&bad), Err(FaultError::Checkpoint(_))),
+                "{from:?} -> {to:?} was not refused"
+            );
+        }
+    }
+
+    fn sample_checkpoint() -> Checkpoint {
         let pattern = Pattern::new(
             vec![PLabel::Is(LabelId::from_index(2)), PLabel::Wildcard],
             vec![PEdge {
@@ -1135,27 +1241,7 @@ mod tests {
         ck.stats.hspawn.negative_candidates = 4;
         ck.stats.spawning_work = 123;
         ck.stats.evaluation_work = 4567;
-
-        let back = Checkpoint::from_text(&ck.to_text()).expect("round trip");
-        assert_eq!(ck.to_text(), back.to_text());
-        assert_eq!(back.stats.evaluation_work, 4567);
-        // A version-1 snapshot (no work meters) is refused, not resumed.
-        let v1 = ck
-            .to_text()
-            .replacen("gfd-checkpoint 2", "gfd-checkpoint 1", 1);
-        assert!(matches!(
-            Checkpoint::from_text(&v1),
-            Err(FaultError::Checkpoint(_))
-        ));
-        assert_eq!(back.rules.len(), 2);
-        assert_eq!(back.rules[0].confidence.to_bits(), 0.875f64.to_bits());
-        assert_eq!(back.frontier[0].matches.len(), 2);
-        assert_eq!(back.frontier[0].matches.get(0)[1], NodeId::from_index(7));
-        assert!(Checkpoint::from_text("gfd-checkpoint 9 end").is_err());
-        assert!(Checkpoint::from_text("garbage").is_err());
-        assert!(back.validate(30, 41, 0xdead_beef).is_ok());
-        assert!(back.validate(31, 41, 0xdead_beef).is_err());
-        assert!(back.validate(30, 41, 1).is_err());
+        ck
     }
 
     #[test]
